@@ -9,18 +9,15 @@ harnesses all call the same checks — and lets the gate reason about the
 
 Two kinds of check, chosen for robustness across machines:
 
-* **same-process gates** (current report only): wall-clock ratios between
-  modes measured in one process on one machine — the batch interpreter must
-  stay within ``factor`` of the fast-forward baseline and the event-queue
-  scheduler within ``factor`` of the hint scan on every tracked scenario;
-  every scenario must be bit-identical; the campaign's pool executor must be
-  bit-identical to serial and MBPTA post-processing under its latency
-  budget.
+* **same-process gates** (current report only): every kernel scenario must
+  be bit-identical between the REFERENCE and FAST execution modes; the
+  campaign's pool executor must be bit-identical to serial and MBPTA
+  post-processing under its latency budget.
 * **baseline diffs** (current vs committed): absolute wall clocks are
   machine-dependent (the committed baseline comes from a developer machine,
   the current report from a CI runner), so the gated quantity is the
-  *normalised throughput* of each tracked scenario — its default-mode
-  Mcycles/s divided by the same process's stepping Mcycles/s — which cancels
+  *normalised throughput* of each tracked scenario — its FAST Mcycles/s
+  divided by the same process's REFERENCE Mcycles/s — which cancels
   machine speed.  A tracked scenario failing ``current >= baseline/factor``
   fails the gate; so does the campaign's ``speedup_pool_vs_serial`` (itself
   a same-process ratio) dropping below the committed baseline by more than
@@ -49,19 +46,19 @@ from common import REGRESSION_FACTOR, load_report, tracked_scenarios
 
 
 def _normalised_throughput(entry: dict[str, Any]) -> float | None:
-    """Default-mode throughput over stepping throughput (machine-neutral).
+    """FAST throughput over REFERENCE throughput (machine-neutral).
 
-    Falls back through the mode columns so reports predating the event
-    queue still diff cleanly.
+    Falls back to the stepping/event-queue columns so reports predating the
+    two-mode schema still diff cleanly.
     """
-    stepping = entry.get("mcycles_per_s_stepping")
-    default = entry.get("mcycles_per_s_event_queue") or entry.get("mcycles_per_s_batch")
-    if not stepping or not default:
+    reference = entry.get("mcycles_per_s_reference") or entry.get("mcycles_per_s_stepping")
+    fast = entry.get("mcycles_per_s_fast") or entry.get("mcycles_per_s_event_queue")
+    if not reference or not fast:
         return None
-    return default / stepping
+    return fast / reference
 
 
-def check_kernel_current(report: dict[str, Any], factor: float) -> list[str]:
+def check_kernel_current(report: dict[str, Any]) -> list[str]:
     """Same-process gates on a fresh kernel report."""
     failures = []
     for name, entry in report.get("scenarios", {}).items():
@@ -73,20 +70,6 @@ def check_kernel_current(report: dict[str, Any], factor: float) -> list[str]:
             "scenarios excluded from wall-clock gating (untracked prefix): "
             + ", ".join(untracked)
         )
-    for name, entry in tracked_scenarios(report).items():
-        batch = entry.get("wall_s_batch")
-        fast_forward = entry.get("wall_s_fast_forward")
-        if batch is not None and fast_forward is not None and batch > factor * fast_forward:
-            failures.append(
-                f"kernel/{name}: batch path {batch:.3f}s is more than "
-                f"{factor:.2f}x the fast-forward baseline {fast_forward:.3f}s"
-            )
-        queue = entry.get("wall_s_event_queue")
-        if queue is not None and batch is not None and queue > factor * batch:
-            failures.append(
-                f"kernel/{name}: event-queue scheduler {queue:.3f}s is more than "
-                f"{factor:.2f}x the hint-scan baseline {batch:.3f}s"
-            )
     return failures
 
 
@@ -231,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
 
     kernel_current = load_report(args.kernel_current)
-    failures += check_kernel_current(kernel_current, args.factor)
+    failures += check_kernel_current(kernel_current)
     if args.kernel_baseline is not None and args.kernel_baseline.exists():
         failures += check_kernel_baseline(
             kernel_current, load_report(args.kernel_baseline), args.factor

@@ -183,17 +183,16 @@ class SharedBus(Component):
             # transaction granted this very cycle), which is what drives CBA
             # budget draining.
             self.arbiter.cycle_update(cycle, self._holder)
-        if self._wake_push:
-            # After the whole cycle's bus activity (and the arbiter's budget
-            # update) is in: push the wake the hint scan would compute when
-            # polled for cycle + 1.  The steady states — holding with the
-            # release cycle already pushed, idle-empty with nothing pushed —
-            # skip the call entirely.
-            if self._holder is not None:
-                if self._wake_target != self._release_cycle:
-                    self._reschedule_wake(cycle + 1)
-            elif self._num_pending or self._wake_target is not None:
+        # After the whole cycle's bus activity (and the arbiter's budget
+        # update) is in: push the wake :meth:`next_event` would return for
+        # cycle + 1.  The steady states — holding with the release cycle
+        # already pushed, idle-empty with nothing pushed — skip the call
+        # entirely.
+        if self._holder is not None:
+            if self._wake_target != self._release_cycle:
                 self._reschedule_wake(cycle + 1)
+        elif self._num_pending or self._wake_target is not None:
+            self._reschedule_wake(cycle + 1)
 
     def _reschedule_wake(self, next_cycle: int) -> None:
         """Event-queue push mirroring :meth:`next_event` at ``next_cycle``."""

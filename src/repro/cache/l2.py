@@ -126,7 +126,7 @@ class L2BusSlave:
     list — victim writeback address reconstructed from the evicted tag, then
     the line fetch — and adds the returned DRAM latency to the bus overhead.
     Either way the duration is resolved synchronously at grant time, so all
-    kernel modes observe identical bank-state evolution.
+    execution modes observe identical bank-state evolution.
     """
 
     def __init__(

@@ -30,9 +30,10 @@ core across runs: a materialised trace replays its pre-drawn sequence, while
 a lazy generator trace draws a fresh one (see
 :class:`~repro.cpu.trace.MaterializedTrace`).
 
-On top of the columnar path sits the **batch interpreter** (on by default,
-``batch_interpreter=``): whenever the trace cursor advances, the core scans
-the maximal upcoming stretch of items that provably never touch the bus —
+On top of the columnar path sits the **batch interpreter** (on in the
+``FAST`` :class:`~repro.sim.config.ExecutionMode`, off in ``REFERENCE``):
+whenever the trace cursor advances, the core scans the maximal upcoming
+stretch of items that provably never touch the bus —
 pure-compute gaps and reads that hit in the L1, decided against per-run
 pre-computed ``(set index, tag)`` placement columns and a residency probe —
 and executes the whole stretch at once: cache hit effects are applied with
@@ -59,6 +60,7 @@ from ..bus.bus import SharedBus
 from ..bus.transaction import AccessType, BusRequest
 from ..cache.l1 import L1Cache
 from ..sim.component import Component
+from ..sim.config import ExecutionMode
 from ..sim.stats import StatGroup
 from .counters import CoreCounters
 from .trace import (
@@ -128,7 +130,7 @@ class CoreModel(Component):
         bus: SharedBus,
         l1_instruction: L1Cache | None = None,
         store_buffer_entries: int = 0,
-        batch_interpreter: bool = True,
+        mode: ExecutionMode = ExecutionMode.FAST,
     ) -> None:
         """Create the core.
 
@@ -138,10 +140,9 @@ class CoreModel(Component):
         demand access needs the (single) bus port while a store is draining.
         The default of 0 keeps the fully blocking behaviour.
 
-        ``batch_interpreter`` enables the bulk execution of bus-free trace
-        stretches (see the module docstring).  It requires the columnar trace
-        path and is bit-identical to per-cycle stepping; the switch exists
-        for the equivalence tests and benchmarks, not as a safety valve.
+        ``mode`` ``FAST`` enables the bulk execution of bus-free trace
+        stretches (see the module docstring) when the trace is columnar;
+        ``REFERENCE`` executes item by item.  Both are bit-identical.
         """
         super().__init__(name)
         if store_buffer_entries < 0:
@@ -174,9 +175,9 @@ class CoreModel(Component):
         #: left in the stretch currently being replayed in bulk (0 = not in a
         #: stretch).  ``batched_items``/``batch_stretches`` live in the
         #: :attr:`obs` stat group — outside CoreCounters so result snapshots
-        #: stay comparable across batch-on/off runs, and registrable in a
+        #: stay comparable across execution modes, and registrable in a
         #: campaign-level metrics registry.
-        self._batch = self._columnar and batch_interpreter
+        self._batch = self._columnar and mode is ExecutionMode.FAST
         self._batch_remaining = 0
         self.obs = StatGroup(f"{name}.obs")
         self._c_batched_items = self.obs.counter("batched_items")
@@ -271,8 +272,7 @@ class CoreModel(Component):
         self._tick_cycle()
         if self._wake_dirty:
             self._wake_dirty = False
-            if self._wake_push:
-                self._reschedule_wake()
+            self._reschedule_wake()
 
     def _tick_cycle(self) -> None:
         if self._state is CoreState.FINISHED:
@@ -328,11 +328,11 @@ class CoreModel(Component):
     # Fast-forward support
     # ------------------------------------------------------------------
     def _reschedule_wake(self) -> None:
-        """Push the wake the hint scan would compute for the next cycle.
+        """Push the wake :meth:`next_event` returns for the next cycle.
 
         Deriving the pushed wake from :meth:`next_event` (evaluated at the
-        next scheduling decision's ``now``) makes the two mechanisms equal by
-        construction — the state machine cannot push one thing and poll
+        next scheduling decision's ``now``) keeps the two consistent by
+        construction — the state machine cannot push one thing and hint
         another.
         """
         wake = self.next_event(self.now + 1)
@@ -696,7 +696,7 @@ class CoreModel(Component):
 
     def _begin_access(self) -> None:
         self._wake_dirty = True
-        if getattr(self, "_finishing", False):
+        if self._finishing:
             # Trace already exhausted; we are only waiting for stores to drain.
             if not self._store_buffer and not self._store_in_flight:
                 self._finishing = False
@@ -825,8 +825,7 @@ class CoreModel(Component):
         # tick already flushed its wake — flush again here.
         if self._wake_dirty:
             self._wake_dirty = False
-            if self._wake_push:
-                self._reschedule_wake()
+            self._reschedule_wake()
 
     def _complete_buffered_store(self, request: BusRequest) -> None:
         """A background store drained; free the port and unblock stalls."""
@@ -849,8 +848,7 @@ class CoreModel(Component):
             self.bus.submit(deferred)
         if self._wake_dirty:
             self._wake_dirty = False
-            if self._wake_push:
-                self._reschedule_wake()
+            self._reschedule_wake()
 
     def reset(self) -> None:
         self.counters = CoreCounters(core_id=self.core_id)

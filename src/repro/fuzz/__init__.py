@@ -1,8 +1,8 @@
 """Property-based scenario fuzzing for the reproduction.
 
 The fuzzer draws random-but-valid platform/workload/memory configurations
-from a seeded generator (:mod:`repro.fuzz.space`), runs each one through
-every kernel execution mode and the campaign engine, and checks cross-mode
+from a seeded generator (:mod:`repro.fuzz.space`), runs each one in both
+execution modes (``REFERENCE`` and ``FAST``) and through the campaign engine, and checks cross-mode
 bit-identity, serial-vs-pool dispatch equivalence, duplicate-free resume and
 contention monotonicity (:mod:`repro.fuzz.harness`).  Failures shrink
 deterministically (:mod:`repro.fuzz.shrink`) into self-contained repro JSON
@@ -11,10 +11,7 @@ files that ``repro fuzz replay`` re-executes (:mod:`repro.fuzz.runner`).
 
 from .harness import (
     CHECKS,
-    KERNEL_MODES,
-    PRODUCTION_MODE,
     InvariantViolation,
-    KernelMode,
     build_system,
     check_campaign,
     check_modes,
@@ -56,9 +53,6 @@ __all__ = [
     "FuzzReport",
     "FuzzScenario",
     "InvariantViolation",
-    "KERNEL_MODES",
-    "KernelMode",
-    "PRODUCTION_MODE",
     "REPRO_VERSION",
     "SCENARIO_KINDS",
     "build_system",

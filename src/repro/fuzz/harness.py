@@ -4,9 +4,9 @@ Three invariant families, named by the strings a scenario's ``checks`` tuple
 carries:
 
 ``"modes"``
-    The scenario produces bit-identical results in all four kernel modes —
-    plain stepping, event-aware fast-forward, the batch interpreter and the
-    event-queue scheduler.  The compared snapshot covers everything the
+    The scenario produces bit-identical results in both execution modes —
+    the ``REFERENCE`` oracle (cycle-by-cycle stepping over lazy traces) and
+    the ``FAST`` production path.  The compared snapshot covers everything the
     columnar equivalence matrix compares (execution cycles, per-core
     counters, bus/arbiter/CBA statistics, cache miss rates) plus the DRAM
     bank counters of the banked memory model.
@@ -25,7 +25,7 @@ carries:
 
 Each check is deterministic given the scenario, so a failing scenario is a
 self-contained reproduction.  ``run_mode`` accepts an optional ``perturb``
-hook (called with the built system and the mode name before running) — the
+hook (called with the built system and its mode before running) — the
 fuzzer's own mutation self-tests use it to break exactly one mode and assert
 the harness notices.
 """
@@ -41,12 +41,10 @@ from ..campaign.executor import SerialExecutor, create_executor
 from ..campaign.jobs import CampaignJob, seed_block_jobs
 from ..campaign.store import ArtifactStore
 from ..platform.system import MulticoreSystem, SystemResult
+from ..sim.config import ExecutionMode
 from .space import FuzzScenario
 
 __all__ = [
-    "KernelMode",
-    "KERNEL_MODES",
-    "PRODUCTION_MODE",
     "InvariantViolation",
     "build_system",
     "run_mode",
@@ -58,29 +56,7 @@ __all__ = [
     "CHECKS",
 ]
 
-PerturbHook = Callable[[MulticoreSystem, str], None]
-
-
-@dataclass(frozen=True)
-class KernelMode:
-    """One execution strategy of the simulation kernel."""
-
-    name: str
-    fast_forward: bool
-    event_queue: bool
-    batch_interpreter: bool
-    materialize_traces: bool
-
-
-#: The four modes of the equivalence matrix, reference (stepping) first.
-KERNEL_MODES = (
-    KernelMode("stepping", False, False, False, False),
-    KernelMode("fast_forward", True, False, False, True),
-    KernelMode("batch", True, False, True, True),
-    KernelMode("event_queue", True, True, True, True),
-)
-#: Production defaults: everything on.
-PRODUCTION_MODE = KERNEL_MODES[3]
+PerturbHook = Callable[[MulticoreSystem, ExecutionMode], None]
 
 
 @dataclass(frozen=True)
@@ -94,17 +70,14 @@ class InvariantViolation:
 # ----------------------------------------------------------------------
 # Scenario execution
 # ----------------------------------------------------------------------
-def build_system(scenario: FuzzScenario, mode: KernelMode) -> MulticoreSystem:
-    """Assemble the scenario's platform in the given kernel mode."""
+def build_system(scenario: FuzzScenario, mode: ExecutionMode) -> MulticoreSystem:
+    """Assemble the scenario's platform in the given execution mode."""
     system = MulticoreSystem(
         scenario.config,
         seed=scenario.seed,
         run_index=scenario.run_index,
         label=f"fuzz-{scenario.kind}",
-        fast_forward=mode.fast_forward,
-        materialize_traces=mode.materialize_traces,
-        batch_interpreter=mode.batch_interpreter,
-        event_queue=mode.event_queue,
+        mode=mode,
     )
     kind = scenario.kind
     if kind == "multiprogram":
@@ -134,18 +107,18 @@ def build_system(scenario: FuzzScenario, mode: KernelMode) -> MulticoreSystem:
 
 def run_mode(
     scenario: FuzzScenario,
-    mode: KernelMode,
+    mode: ExecutionMode,
     perturb: PerturbHook | None = None,
 ) -> SystemResult:
-    """Run the scenario in one kernel mode and return the system result."""
+    """Run the scenario in one execution mode and return the system result."""
     system = build_system(scenario, mode)
     if perturb is not None:
-        perturb(system, mode.name)
+        perturb(system, mode)
     return system.run(max_cycles=scenario.max_cycles, allow_truncation=True)
 
 
 def snapshot(result: SystemResult, tua_core: int) -> dict[str, object]:
-    """Everything that must be bit-identical across kernel modes.
+    """Everything that must be bit-identical across execution modes.
 
     Mirrors the columnar equivalence matrix's snapshot;
     :attr:`SystemResult.observability` is deliberately excluded (execution
@@ -184,27 +157,24 @@ def _diff_keys(reference: dict[str, object], candidate: dict[str, object]) -> li
 def check_modes(
     scenario: FuzzScenario, perturb: PerturbHook | None = None
 ) -> InvariantViolation | None:
-    """All four kernel modes must produce bit-identical snapshots."""
-    reference_mode = KERNEL_MODES[0]
-    reference = snapshot(run_mode(scenario, reference_mode, perturb), scenario.tua_core)
-    for mode in KERNEL_MODES[1:]:
-        candidate = snapshot(run_mode(scenario, mode, perturb), scenario.tua_core)
-        if candidate != reference:
-            differing = _diff_keys(reference, candidate)
-            parts = []
-            for key in differing[:4]:
-                parts.append(
-                    f"{key}: {reference_mode.name}={reference[key]!r} "
-                    f"{mode.name}={candidate[key]!r}"
-                )
-            return InvariantViolation(
-                invariant="modes",
-                detail=(
-                    f"{mode.name} diverges from {reference_mode.name} "
-                    f"on {', '.join(differing)} — " + "; ".join(parts)
-                ),
-            )
-    return None
+    """REFERENCE and FAST must produce bit-identical snapshots."""
+    tua = scenario.tua_core
+    reference = snapshot(run_mode(scenario, ExecutionMode.REFERENCE, perturb), tua)
+    fast = snapshot(run_mode(scenario, ExecutionMode.FAST, perturb), tua)
+    if fast == reference:
+        return None
+    differing = _diff_keys(reference, fast)
+    parts = [
+        f"{key}: reference={reference[key]!r} fast={fast[key]!r}"
+        for key in differing[:4]
+    ]
+    return InvariantViolation(
+        invariant="modes",
+        detail=(
+            f"fast diverges from reference on {', '.join(differing)} — "
+            + "; ".join(parts)
+        ),
+    )
 
 
 def _campaign_jobs(scenario: FuzzScenario, num_runs: int = 3) -> list[CampaignJob]:
@@ -283,8 +253,8 @@ def check_monotonicity(
         workloads=((scenario.tua_core, scenario.tua_workload),),
         best_effort=None,
     )
-    iso = run_mode(isolation, PRODUCTION_MODE, perturb)
-    con = run_mode(contended, PRODUCTION_MODE, perturb)
+    iso = run_mode(isolation, ExecutionMode.FAST, perturb)
+    con = run_mode(contended, ExecutionMode.FAST, perturb)
     if iso.truncated or con.truncated:
         return None
     iso_cycles = iso.execution_cycles(scenario.tua_core)

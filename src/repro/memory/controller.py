@@ -14,7 +14,7 @@ reach the DRAM determines how many row hits the transaction collects.
 (first-ready, first-come-first-served) repeatedly serves the oldest access
 whose row is already open — the open-row-priority reordering real memory
 controllers use.  Both policies are pure functions of the access list and
-the bank state, so every kernel mode computes identical timings.
+the bank state, so every execution mode computes identical timings.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ buffers — memory-system interference that exists even when the bus itself is
 perfectly arbitrated.
 
 Both models are passive and synchronous: the memory controller calls them at
-bus-grant time, which happens on executed cycles in every kernel mode
-(stepping, fast-forward, batch, event queue), so their state evolution is
+bus-grant time, which happens on executed cycles in every execution mode
+(``REFERENCE`` and ``FAST``), so their state evolution is
 bit-identical across modes by construction — no wake hints or
 ``fast_forward`` bookkeeping are needed.
 """

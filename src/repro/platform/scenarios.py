@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..sim.config import PlatformConfig
+from ..sim.config import ExecutionMode, PlatformConfig
 from ..workloads.base import WorkloadSpec
 from .system import MulticoreSystem, SystemResult
 
@@ -61,20 +61,14 @@ def _build_system(
     seed: int,
     run_index: int,
     label: str,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: ExecutionMode = ExecutionMode.FAST,
 ) -> MulticoreSystem:
     return MulticoreSystem(
         config,
         seed=seed,
         run_index=run_index,
         label=label,
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
 
 
@@ -86,10 +80,7 @@ def run_isolation(
     tua_core: int = 0,
     max_cycles: int = 5_000_000,
     allow_truncation: bool = False,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: ExecutionMode = ExecutionMode.FAST,
 ) -> ScenarioResult:
     """Run ``workload`` alone on the platform (the ``*-ISO`` bars of Figure 1).
 
@@ -102,10 +93,7 @@ def run_isolation(
         seed,
         run_index,
         label=f"{config.arbitration}-iso",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     system.add_task(tua_core, workload)
     result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
@@ -126,10 +114,7 @@ def run_max_contention(
     tua_core: int = 0,
     max_cycles: int = 5_000_000,
     allow_truncation: bool = False,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: ExecutionMode = ExecutionMode.FAST,
 ) -> ScenarioResult:
     """Run ``workload`` against greedy maximum-length contenders (``*-CON``)."""
     system = _build_system(
@@ -137,10 +122,7 @@ def run_max_contention(
         seed,
         run_index,
         label=f"{config.arbitration}-con",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     system.add_task(tua_core, workload)
     for core in range(config.num_cores):
@@ -164,10 +146,7 @@ def run_wcet_estimation(
     tua_core: int = 0,
     max_cycles: int = 5_000_000,
     allow_truncation: bool = False,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: ExecutionMode = ExecutionMode.FAST,
 ) -> ScenarioResult:
     """Run the analysis-time scenario of Section III-B / Table I.
 
@@ -181,10 +160,7 @@ def run_wcet_estimation(
         seed,
         run_index,
         label=f"{config.arbitration}-wcet",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     system.add_task(tua_core, workload)
     for core in range(config.num_cores):
@@ -210,10 +186,7 @@ def run_mixed_criticality(
     max_cycles: int = 10_000_000,
     allow_truncation: bool = False,
     best_effort: "WorkloadSpec | str | None" = None,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: ExecutionMode = ExecutionMode.FAST,
 ) -> ScenarioResult:
     """Run a critical task against best-effort tasks on every other core.
 
@@ -242,10 +215,7 @@ def run_mixed_criticality(
         seed,
         run_index,
         label=f"{config.arbitration}-mixed",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     system.add_task(tua_core, workload)
     for core in range(config.num_cores):
@@ -269,10 +239,7 @@ def run_multiprogram(
     tua_core: int = 0,
     max_cycles: int = 10_000_000,
     allow_truncation: bool = False,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: ExecutionMode = ExecutionMode.FAST,
 ) -> ScenarioResult:
     """Consolidate several real tasks (one per core) and run them together."""
     system = _build_system(
@@ -280,10 +247,7 @@ def run_multiprogram(
         seed,
         run_index,
         label=f"{config.arbitration}-multi",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     for core_id, workload in workloads.items():
         system.add_task(core_id, workload)

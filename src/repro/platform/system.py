@@ -27,7 +27,7 @@ from ..memory.dram import DRAM, BankedDRAM
 from ..obs.profiler import KernelProfiler
 from ..obs.registry import MetricsRegistry
 from ..obs.timeline import TimelineRecorder
-from ..sim.config import ObservabilityConfig, PlatformConfig
+from ..sim.config import ExecutionMode, ObservabilityConfig, PlatformConfig
 from ..sim.errors import ConfigurationError
 from ..sim.kernel import Kernel
 from ..sim.trace import TraceRecorder
@@ -59,8 +59,8 @@ class SystemResult:
     extra: dict[str, object] = field(default_factory=dict)
     #: Execution-strategy observability (batch interpreter counters, skipped
     #: cycles): kept apart from :attr:`extra` because these legitimately
-    #: differ between bit-identical execution modes (lazy vs columnar,
-    #: stepped vs fast-forwarded) and must not enter result comparisons.
+    #: differ between the bit-identical execution modes (``REFERENCE`` vs
+    #: ``FAST``) and must not enter result comparisons.
     observability: dict[str, int] = field(default_factory=dict)
 
     def execution_cycles(self, core_id: int) -> int:
@@ -78,44 +78,26 @@ class MulticoreSystem:
         run_index: int = 0,
         trace: TraceRecorder | None = None,
         label: str = "",
-        fast_forward: bool = True,
-        materialize_traces: bool = True,
-        batch_interpreter: bool = True,
-        event_queue: bool = True,
+        mode: ExecutionMode = ExecutionMode.FAST,
         obs: ObservabilityConfig | None = None,
     ) -> None:
         """Build the platform.
 
-        ``fast_forward`` controls the kernel's event-aware cycle skipping.
-        It is bit-identical to plain stepping (enforced by the equivalence
-        test matrix) and on by default; the switch exists for those tests and
-        for benchmarking the skipping itself.
+        ``mode`` selects how the run executes; both modes are bit-identical
+        (enforced by the equivalence test matrix and the fuzzer):
 
-        ``event_queue`` selects the kernel's heap-based wake scheduling
-        (components push wakes at state transitions) over the per-component
-        hint scan.  Both find the same wakes and are bit-identical (enforced
-        by the event-queue rows of the equivalence matrix); on by default,
-        the switch exists for those tests and for benchmarking the two
-        scheduling mechanisms against each other.
+        * ``FAST`` (the default) fast-forwards the kernel over dead cycles
+          through its event queue, pre-computes each task's trace into
+          columnar ``(gap, address, kind)`` arrays that the core walks with a
+          cursor, and lets the cores execute bus-free trace stretches in bulk
+          (the batch interpreter, see :mod:`repro.cpu.core_model`);
+        * ``REFERENCE`` steps every cycle over lazy item-at-a-time traces —
+          the oracle the equivalence tests compare ``FAST`` against.
 
-        ``materialize_traces`` selects the columnar trace path: each task's
-        trace is pre-computed into parallel ``(gap, address, kind)`` arrays
-        that the core consumes with a cursor.  Bit-identical to the lazy
-        item-at-a-time path for the run this system executes (enforced by the
-        columnar equivalence matrix) and on by default; the switch exists for
-        those tests and benchmarks.  Each run builds a fresh system (the
-        campaign/scenario protocol), so traces are materialised once per run;
-        resetting and re-running the *same* system replays the materialised
-        sequence rather than redrawing it — pass ``materialize_traces=False``
-        if fresh draws across in-place resets are needed.
-
-        ``batch_interpreter`` enables the cores' bulk execution of bus-free
-        trace stretches (consecutive L1 hits and pure compute, see
-        :mod:`repro.cpu.core_model`).  It rides on the columnar path (inert
-        when ``materialize_traces=False``), composes with fast-forwarding and
-        is bit-identical to per-cycle stepping (enforced by the batch rows of
-        the columnar equivalence matrix); on by default, the switch exists
-        for those tests and benchmarks.
+        Each run builds a fresh system (the campaign/scenario protocol), so
+        ``FAST`` traces are materialised once per run; resetting and
+        re-running the *same* system replays the materialised sequence
+        rather than redrawing it, while ``REFERENCE`` draws afresh.
 
         ``obs`` opts into instrumentation
         (:class:`~repro.sim.config.ObservabilityConfig`): a timeline recorder
@@ -125,8 +107,7 @@ class MulticoreSystem:
         """
         self.config = config
         self.label = label or config.arbitration
-        self.materialize_traces = materialize_traces
-        self.batch_interpreter = batch_interpreter
+        self.mode = mode
         self.obs = obs
         self.profiler: KernelProfiler | None = None
         if trace is None and obs is not None and obs.timeline:
@@ -138,8 +119,7 @@ class MulticoreSystem:
             run_index=run_index,
             frequency_hz=config.frequency_hz,
             trace=trace,
-            fast_forward=fast_forward,
-            event_queue=event_queue,
+            fast_forward=mode is ExecutionMode.FAST,
         )
         streams = self.kernel.streams
         self.latency_table = LatencyTable(config.bus_timings)
@@ -229,7 +209,7 @@ class MulticoreSystem:
         )
         trace = spec.build_trace(
             streams.stream(f"workload.core{core_id}"),
-            materialize=self.materialize_traces,
+            materialize=self.mode is ExecutionMode.FAST,
         )
         core = CoreModel(
             name=f"core{core_id}",
@@ -238,7 +218,7 @@ class MulticoreSystem:
             l1_data=l1,
             bus=self.bus,
             store_buffer_entries=self.config.store_buffer_entries,
-            batch_interpreter=self.batch_interpreter,
+            mode=self.mode,
         )
         self.cores[core_id] = core
         return core
@@ -370,7 +350,7 @@ class MulticoreSystem:
                 },
                 # DRAM/controller state evolution is part of the bit-identity
                 # contract: the equivalence matrix and the fuzzer compare
-                # these across kernel modes like every other counter.
+                # these across execution modes like every other counter.
                 "memory": {
                     "model": self.config.memory.model,
                     "controller_policy": self.config.memory.controller_policy,

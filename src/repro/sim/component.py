@@ -36,9 +36,7 @@ class Component:
     #: instead of being polled through :meth:`next_event` at every scheduling
     #: decision.  Event-driven components must keep :meth:`next_event`
     #: implemented and consistent with what they push: the kernel uses the
-    #: hint to seed the heap entry at registration/reset and falls back to
-    #: polling it when the event queue is disabled, so a component behaves
-    #: identically under both scheduling mechanisms.
+    #: hint to seed the heap entry at registration and reset.
     event_driven: bool = False
 
     def __init__(self, name: str) -> None:
@@ -47,13 +45,9 @@ class Component:
         self._clock: Clock | None = None
         #: Event-queue slot assigned by ``Kernel.register``.
         self._wake_slot = -1
-        #: Cached ``kernel.event_queue`` so hot paths can skip computing a
-        #: wake they would push into a disabled queue.
-        self._wake_push = False
-        #: Pre-bound queue hooks (set by ``Kernel.register`` when the event
-        #: queue is on): hot push sites call these with ``_wake_slot``
-        #: directly, skipping the ``schedule_wake`` dispatch chain.  Only
-        #: valid while ``_wake_push`` is True.
+        #: Pre-bound queue hooks (set by ``Kernel.register``): hot push sites
+        #: call these with ``_wake_slot`` directly, skipping the
+        #: ``schedule_wake`` dispatch chain.  Only valid once registered.
         self._wake_schedule: "Callable[[int, int], None] | None" = None
         self._wake_cancel: "Callable[[int], None] | None" = None
 
@@ -66,7 +60,6 @@ class Component:
         # Cached so the heavily used :attr:`now` is one attribute hop instead
         # of a three-property chain through kernel and clock.
         self._clock = kernel.clock
-        self._wake_push = kernel.event_queue
 
     @property
     def kernel(self) -> "Kernel":
@@ -114,10 +107,7 @@ class Component:
         Carries the same meaning as :meth:`next_event` returning ``cycle``
         and stays in force until rescheduled or cancelled; see
         :meth:`repro.sim.kernel.Kernel.schedule_wake`.  Safe to call on an
-        unbound component (no-op) and under the hint scan (the kernel
-        ignores it), so push sites need no mode checks for correctness —
-        hot paths may still consult :attr:`_wake_push` to skip computing a
-        wake nobody will read.
+        unbound component (no-op).
         """
         kernel = self._kernel
         if kernel is not None:

@@ -18,6 +18,7 @@ Defaults reproduce the configuration described in Section IV-A of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from enum import Enum
 
 from .errors import ConfigurationError
 
@@ -25,6 +26,7 @@ __all__ = [
     "BusTimings",
     "CacheGeometry",
     "CBAParameters",
+    "ExecutionMode",
     "MemoryConfig",
     "ObservabilityConfig",
     "PlatformConfig",
@@ -216,7 +218,7 @@ class MemoryConfig:
     transaction's own sequence (writeback before fetch), ``"frfcfs"``
     (first-ready, first-come-first-served) serves accesses whose row is
     already open first, the standard open-row-priority reordering of real
-    memory controllers.  Both are deterministic, so every kernel mode
+    memory controllers.  Both are deterministic, so every execution mode
     resolves identical timings.
     """
 
@@ -250,6 +252,23 @@ class MemoryConfig:
     def worst_access_latency(self) -> int:
         """Latency of the slowest single access under this model."""
         return self.row_conflict_latency if self.model == "banked" else 0
+
+
+class ExecutionMode(str, Enum):
+    """How a simulated system executes its cycles.
+
+    Both modes compute bit-identical results (enforced by the equivalence
+    matrix and the fuzzer); like :class:`ObservabilityConfig` the mode is
+    not a field of :class:`PlatformConfig`, because it cannot change what a
+    run computes.
+    """
+
+    #: The oracle: cycle-by-cycle stepping over lazy item-at-a-time traces,
+    #: with no fast-forwarding and no batch interpreter.
+    REFERENCE = "reference"
+    #: The production path: event-queue fast-forwarding over columnar
+    #: traces, with the cores' batch interpreter.
+    FAST = "fast"
 
 
 @dataclass(frozen=True)

@@ -20,29 +20,26 @@ skipped when *no* component can change state in it, the executed event cycles
 (grants, completions, cache accesses, RNG draws) are identical to plain
 stepping — fast-forwarded runs are bit-identical to cycle-by-cycle runs.
 
-Two scheduling mechanisms decide how far the kernel may jump:
-
-* the **event queue** (default, ``event_queue=True``) — components *push*
-  their wakes into a binary heap (:class:`EventQueue`) via
-  :meth:`Kernel.schedule_wake` at the state transitions where the wake
-  changes (a bus grant, a request completion, a trace item boundary), and
-  invalidate superseded wakes lazily through per-component generation
-  counters.  Finding the next wake is then an O(log n) heap peek per
-  executed cycle instead of an O(components) poll;
-* the **hint scan** (``event_queue=False``, and the compatibility fallback
-  for components that do not push) — before each cycle the kernel polls
-  every component's :meth:`~repro.sim.component.Component.next_event` and
-  takes the minimum.
-
-Both mechanisms express the same contract and produce bit-identical runs
-(enforced by the event-queue rows of the equivalence matrix).  Components
-migrate incrementally: a component that sets
-:attr:`~repro.sim.component.Component.event_driven` owns its heap entry; any
-other component keeps being polled, and the kernel combines the heap minimum
-with the polled hints.  A wake that is scheduled but stale (the component's
-state moved on without rescheduling) only ever *adds* executed cycles — by
-the hint contract a tick before a component's true wake is uniform
+How far the kernel may jump is decided by an **event queue**: components
+*push* their wakes into a binary heap (:class:`EventQueue`) via
+:meth:`Kernel.schedule_wake` at the state transitions where the wake
+changes (a bus grant, a request completion, a trace item boundary), and
+superseded wakes are invalidated lazily through per-component generation
+counters, so finding the next wake is an O(log n) heap peek per executed
+cycle.  A component that sets
+:attr:`~repro.sim.component.Component.event_driven` owns its heap entry;
+any other component is *polled* instead — before each scheduling decision
+the kernel folds its :meth:`~repro.sim.component.Component.next_event` into
+the heap minimum.  The poll fallback is needed for correctness by
+components whose wake reads state other components own (the WCET-mode
+contenders).  A wake that is scheduled but stale (the component's state
+moved on without rescheduling) only ever *adds* executed cycles — by the
+hint contract a tick before a component's true wake is uniform
 bookkeeping, so staleness degrades skipping, never correctness.
+
+The one switch, ``fast_forward``, selects between skipping and plain
+cycle-by-cycle stepping; :class:`~repro.sim.config.ExecutionMode` maps
+``FAST`` and ``REFERENCE`` onto it.
 
 Components may do arbitrarily much work per *event* to widen the gaps between
 events: the cores' batch interpreter (:mod:`repro.cpu.core_model`) executes a
@@ -182,7 +179,6 @@ class Kernel:
         frequency_hz: float = 100_000_000.0,
         trace: TraceRecorder | None = None,
         fast_forward: bool = True,
-        event_queue: bool = True,
     ) -> None:
         self.clock = Clock(frequency_hz=frequency_hz)
         self.streams = RandomStreams(seed=seed, run_index=run_index)
@@ -192,13 +188,9 @@ class Kernel:
         self._tickers: list[Component] = []
         self._post_tickers: list[Component] = []
         self._fast_forwarders: list[Component] = []
-        #: Pre-bound ``next_event`` methods of every component — the hint
-        #: scan used when the event queue is off; binding them at
-        #: registration spares the attribute lookup per component per
-        #: executed cycle.
-        self._hinters: list[Callable[[int], int | None]] = []
-        #: The subset of hinters still polled when the event queue is on:
-        #: components that do not push wakes (the compatibility fallback).
+        #: Pre-bound ``next_event`` methods of the components that do not
+        #: push wakes (the poll fallback); binding them at registration
+        #: spares the attribute lookup per component per executed cycle.
         self._poll_hinters: list[Callable[[int], int | None]] = []
         self._all_hinted = True
         self._stop_conditions: list[Callable[[], bool]] = []
@@ -212,12 +204,6 @@ class Kernel:
         #: bit-identical to stepping by construction; the switch exists for
         #: equivalence tests and benchmarking, not as a safety valve.
         self.fast_forward = fast_forward
-        #: Use the heap-based :class:`EventQueue` to find the next wake
-        #: (components push at state transitions) instead of polling every
-        #: component's hint.  Bit-identical to the scan (enforced by the
-        #: event-queue equivalence rows); the switch exists for those tests
-        #: and for benchmarking the scheduling mechanisms against each other.
-        self.event_queue = event_queue
         self._events = EventQueue()
         #: Cycles :meth:`run` jumped over instead of stepping (observability).
         self.cycles_skipped = 0
@@ -244,9 +230,8 @@ class Kernel:
             raise SchedulingError("cannot register components after profiling was enabled")
         component.bind(self)
         component._wake_slot = self._events.add_slot()
-        if self.event_queue:
-            component._wake_schedule = self._events.schedule
-            component._wake_cancel = self._events.cancel
+        component._wake_schedule = self._events.schedule
+        component._wake_cancel = self._events.cancel
         self._components.append(component)
         self._by_name[component.name] = component
         # Components that keep the base class's no-op hooks are excluded from
@@ -258,13 +243,11 @@ class Kernel:
             self._post_tickers.append(component)
         if type(component).fast_forward is not Component.fast_forward:
             self._fast_forwarders.append(component)
-        self._hinters.append(component.next_event)
         if component.event_driven:
             # The component owns a heap entry; seed it from its current state
             # so the first scheduling decision sees a valid wake even before
             # the component's first tick had a chance to push one.
-            if self.event_queue:
-                self._prime_wake(component)
+            self._prime_wake(component)
         else:
             self._poll_hinters.append(component.next_event)
             if type(component).next_event is Component.next_event:
@@ -317,7 +300,7 @@ class Kernel:
             raise KeyError(f"no component named {name!r}") from None
 
     # ------------------------------------------------------------------
-    # Wake scheduling (the event-queue side of the fast-forward contract)
+    # Wake scheduling (the push side of the fast-forward contract)
     # ------------------------------------------------------------------
     def schedule_wake(self, component: Component, cycle: int) -> None:
         """Schedule (or move) ``component``'s wake to ``cycle``.
@@ -330,20 +313,14 @@ class Kernel:
         cancelled; components therefore push exactly at the state transitions
         after which their previous wake no longer describes them (a bus
         grant, a completion, a credit replenish target, a stretch end).
-
-        No-op when the kernel runs the hint scan (``event_queue=False``) —
-        components push unconditionally and the kernel ignores what it does
-        not use, so a component behaves identically under both mechanisms.
         """
-        if self.event_queue:
-            self._events.schedule(component._wake_slot, cycle)
+        self._events.schedule(component._wake_slot, cycle)
 
     def cancel_wake(self, component: Component) -> None:
         """Drop ``component``'s scheduled wake (hint value ``None``: only
         another component's activity — a tick the kernel executes anyway —
         can affect it)."""
-        if self.event_queue:
-            self._events.cancel(component._wake_slot)
+        self._events.cancel(component._wake_slot)
 
     def scheduled_wake(self, component: Component) -> int | None:
         """The component's currently scheduled wake cycle (observability)."""
@@ -408,17 +385,17 @@ class Kernel:
             clock.advance()
         return clock.cycle
 
-    def _fold_hints(
-        self, hinters: list[Callable[[int], int | None]], wake: int, now: int
-    ) -> int:
-        """Fold polled component hints plus the stop hints into ``wake``.
+    def _poll_refine(self, wake: int, now: int) -> int:
+        """Fold the poll-fallback hints and stop hints into a heap ``wake``.
 
-        Returns ``now`` as soon as any hint pins the current cycle (no
-        skipping possible), otherwise the earliest future wake not above the
-        starting ``wake``.  One implementation serves both scheduling
-        mechanisms so their folding semantics cannot drift apart.
+        Only components that do not push wakes (e.g. the WCET-mode
+        contenders, whose hint reads *another* component's state) and the
+        hinted stop conditions are polled; the run loop skips this entirely
+        when neither exists.  Returns ``now`` as soon as any hint pins the
+        current cycle (no skipping possible), otherwise the earliest future
+        wake not above the starting ``wake``.
         """
-        for hinter in hinters:
+        for hinter in self._poll_hinters:
             hint = hinter(now)
             if hint is None:
                 continue
@@ -435,24 +412,6 @@ class Kernel:
             if hint < wake:
                 wake = hint
         return wake
-
-    def _next_wake(self, limit: int) -> int:
-        """Hint scan: earliest cycle at which any component (or stop hint) may act.
-
-        Returns the current cycle when some component needs to run now (no
-        skipping possible), otherwise a cycle in ``(now, limit]`` to jump to.
-        """
-        return self._fold_hints(self._hinters, limit, self.clock.cycle)
-
-    def _poll_refine(self, wake: int, now: int) -> int:
-        """Fold the poll-fallback hints and stop hints into a heap ``wake``.
-
-        Only components that do not push wakes (the compatibility fallback,
-        e.g. the WCET-mode contenders whose hint reads *another* component's
-        state) and the hinted stop conditions are polled; the run loop skips
-        this entirely when neither exists.
-        """
-        return self._fold_hints(self._poll_hinters, wake, now)
 
     @property
     def has_hinted_stops(self) -> bool:
@@ -518,7 +477,6 @@ class Kernel:
         limit = start + max_cycles
         self._run_limit = limit
         fast_forward = self.fast_forward and self._all_hinted
-        use_queue = fast_forward and self.event_queue
         tickers = self._tickers
         post_tickers = self._post_tickers
         # The heap peek is inlined below (the queue's internals are bound
@@ -534,19 +492,16 @@ class Kernel:
                 stop_fired = True
                 break
             if fast_forward:
-                if use_queue:
-                    wake = limit
-                    while events_heap:
-                        cycle_, slot_, generation_ = events_heap[0]
-                        if generation_ == events_generations[slot_]:
-                            if cycle_ < limit:
-                                wake = cycle_
-                            break
-                        heappop(events_heap)
-                    if must_poll and wake > clock.cycle:
-                        wake = self._poll_refine(wake, clock.cycle)
-                else:
-                    wake = self._next_wake(limit)
+                wake = limit
+                while events_heap:
+                    cycle_, slot_, generation_ = events_heap[0]
+                    if generation_ == events_generations[slot_]:
+                        if cycle_ < limit:
+                            wake = cycle_
+                        break
+                    heappop(events_heap)
+                if must_poll and wake > clock.cycle:
+                    wake = self._poll_refine(wake, clock.cycle)
                 if wake > clock.cycle:
                     self._jump_to(wake)
                     # No tick ran during the jump, so an event-state stop
@@ -592,12 +547,11 @@ class Kernel:
         self._events.clear()
         for component in self._components:
             component.reset()
-        if self.event_queue:
-            # Re-seed the heap from the components' power-on hints, exactly
-            # as registration did.
-            for component in self._components:
-                if component.event_driven:
-                    self._prime_wake(component)
+        # Re-seed the heap from the components' power-on hints, exactly as
+        # registration did.
+        for component in self._components:
+            if component.event_driven:
+                self._prime_wake(component)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

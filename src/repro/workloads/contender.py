@@ -87,8 +87,7 @@ class GreedyContender(Component):
         self.requests_issued += 1
         self._in_flight = True
         # Nothing self-scheduled until the completion callback (a bus event).
-        if self._wake_push:
-            self._wake_cancel(self._wake_slot)
+        self._wake_cancel(self._wake_slot)
 
     def on_grant(self, request: BusRequest, cycle: int) -> None:
         """Bus master protocol: nothing to do at grant time."""
@@ -98,8 +97,7 @@ class GreedyContender(Component):
         self._in_flight = False
         # Re-issue on the next tick (the bus completes during its own tick
         # at ``cycle``; the contender's next chance to act is cycle + 1).
-        if self._wake_push:
-            self._wake_schedule(self._wake_slot, cycle + 1)
+        self._wake_schedule(self._wake_slot, cycle + 1)
 
     def reset(self) -> None:
         self.requests_issued = 0
@@ -118,7 +116,7 @@ class WCETModeContender(Component):
     contender already ticked in the same cycle.  A pushed wake computed at
     its own tick could therefore be *later* than the true one, which the
     event-queue contract forbids; polling re-evaluates the cross-component
-    condition at every scheduling decision, exactly like the scan kernel.
+    condition at every scheduling decision.
 
     Parameters
     ----------

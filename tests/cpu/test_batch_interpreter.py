@@ -4,7 +4,8 @@ The integration matrix (tests/integration/test_columnar_equivalence.py)
 proves whole-system bit-identity; these tests pin down the mechanism itself
 against a minimal bus + deterministic cache: stretch boundaries, exact cycle
 accounting, LRU timestamp stamping, trace-end finishing and the store-buffer
-suspension.
+suspension.  Each compares a REFERENCE core (stepped, no batching) with a
+FAST one (fast-forwarded, batching) over the same columnar trace.
 """
 
 import numpy as np
@@ -16,19 +17,20 @@ from repro.bus.ports import FixedLatencySlave
 from repro.cache.l1 import build_l1_cache
 from repro.cpu.core_model import CoreModel
 from repro.cpu.trace import KIND_NONE, KIND_READ, KIND_WRITE, MaterializedTrace
-from repro.sim.config import CacheGeometry
+from repro.sim.config import CacheGeometry, ExecutionMode
 from repro.sim.kernel import Kernel
+
+MODES = (ExecutionMode.REFERENCE, ExecutionMode.FAST)
 
 
 def build_system(
     trace: MaterializedTrace,
-    batch: bool,
-    fast_forward: bool = True,
+    mode: ExecutionMode,
     bus_latency: int = 4,
     store_buffer_entries: int = 0,
     lru: bool = True,
 ):
-    kernel = Kernel(fast_forward=fast_forward)
+    kernel = Kernel(fast_forward=mode is ExecutionMode.FAST)
     bus = SharedBus(
         "bus",
         num_masters=1,
@@ -49,7 +51,7 @@ def build_system(
         l1,
         bus,
         store_buffer_entries=store_buffer_entries,
-        batch_interpreter=batch,
+        mode=mode,
     )
     kernel.register(core)
     kernel.register(bus)
@@ -57,14 +59,12 @@ def build_system(
     return kernel, core
 
 
-def run_both(trace_columns, fast_forward: bool = True, **kwargs):
-    """Run the same trace with and without batching; return the two cores."""
+def run_both(trace_columns, **kwargs):
+    """Run the same trace in REFERENCE and FAST; return the two cores."""
     results = []
-    for batch in (False, True):
+    for mode in MODES:
         trace = MaterializedTrace(*trace_columns)
-        kernel, core = build_system(
-            trace, batch=batch, fast_forward=fast_forward, **kwargs
-        )
+        kernel, core = build_system(trace, mode, **kwargs)
         kernel.run(max_cycles=100_000)
         assert core.finished
         results.append((kernel, core))
@@ -140,14 +140,13 @@ def test_whole_trace_batchable_from_first_tick():
     assert batched.batch_stretches == 1
 
 
-@pytest.mark.parametrize("fast_forward", [False, True], ids=["stepped", "skipped"])
-def test_stepped_and_skipped_batch_agree(fast_forward):
+def test_stepped_and_skipped_batch_agree():
     columns = (
         [1, 0, 3, 2, 0, 4],
         [A, B, A, C, B, A],
         [KIND_READ, KIND_READ, KIND_READ, KIND_WRITE, KIND_READ, KIND_READ],
     )
-    (k_plain, plain), (k_batch, batched) = run_both(columns, fast_forward=fast_forward)
+    (k_plain, plain), (k_batch, batched) = run_both(columns)
     assert state_of(k_plain, plain) == state_of(k_batch, batched)
 
 
@@ -193,9 +192,9 @@ def test_hinted_clock_stop_stays_bit_identical(stop_at):
     cycle-accurate path and the results stay bit-identical."""
     columns = ([0] + [3] * 9, [A] * 10, [KIND_READ] * 10)
     states = []
-    for batch in (False, True):
+    for mode in MODES:
         trace = MaterializedTrace(*columns)
-        kernel, core = build_system(trace, batch=batch)
+        kernel, core = build_system(trace, mode)
         kernel.add_stop_condition(
             lambda k=kernel: k.clock.cycle >= stop_at,
             next_event=lambda now: stop_at,
@@ -213,9 +212,9 @@ def test_hinted_accounting_stop_stays_bit_identical(threshold):
     on the same cycle with batching enabled as with stepping."""
     columns = ([0] + [3] * 9, [A] * 10, [KIND_READ] * 10)
     cycles_at_stop = []
-    for batch in (False, True):
+    for mode in MODES:
         trace = MaterializedTrace(*columns)
-        kernel, core = build_system(trace, batch=batch)
+        kernel, core = build_system(trace, mode)
         kernel.add_stop_condition(
             lambda c=core: c.counters.items_completed >= threshold,
             next_event=lambda now: now,  # conservative: re-check every cycle
@@ -231,9 +230,9 @@ def test_bare_stepping_gets_exact_partial_state():
     non-batch core would have (no eagerly applied future work)."""
     columns = ([0] + [5] * 19, [A] * 20, [KIND_READ] * 20)
     partials = []
-    for batch in (False, True):
+    for mode in MODES:
         trace = MaterializedTrace(*columns)
-        kernel, core = build_system(trace, batch=batch)
+        kernel, core = build_system(trace, mode)
         kernel.step(30)
         partials.append(state_of(kernel, core))
         assert core.batched_items == 0
@@ -243,7 +242,7 @@ def test_bare_stepping_gets_exact_partial_state():
 def test_reset_clears_batch_state_and_replays_identically():
     columns = ([0, 2, 2], [A, A, A], [KIND_READ] * 3)
     trace = MaterializedTrace(*columns)
-    kernel, core = build_system(trace, batch=True)
+    kernel, core = build_system(trace, ExecutionMode.FAST)
     kernel.run(max_cycles=10_000)
     first = (core.counters.as_dict(), core.batched_items)
     kernel.reset()

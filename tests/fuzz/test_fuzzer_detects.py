@@ -2,7 +2,7 @@
 
 These are the acceptance tests of the whole fuzz lane.  Each test plants one
 realistic bug — an arbiter whose fast-forward wake hint lies, a DRAM timing
-that differs in one kernel mode — and asserts the fuzzer finds it within a
+that differs in one execution mode — and asserts the fuzzer finds it within a
 bounded, fixed seed budget, shrinks it, and that the shrunk repro file
 replays to the same failure.
 """
@@ -12,10 +12,11 @@ from unittest import mock
 from repro.arbiters import registry
 from repro.arbiters.tdma import TDMAArbiter
 from repro.fuzz import fuzz_run, load_repro, replay_file, replay_scenario
+from repro.sim.config import ExecutionMode
 
 
 class _BrokenTDMA(TDMAArbiter):
-    """TDMA whose wake hint overshoots by a slot: event-driven modes oversleep."""
+    """TDMA whose wake hint overshoots by a slot: the FAST mode oversleeps."""
 
     def next_grant_opportunity(self, requestors, cycle):
         wake = super().next_grant_opportunity(requestors, cycle)
@@ -31,9 +32,9 @@ def _make_broken_tdma(num_masters, rng, options):
     )
 
 
-def _perturb_banked_dram(system, mode_name):
-    """Make banked DRAM slightly faster in the batch mode only."""
-    if mode_name == "batch" and type(system.dram).__name__ == "BankedDRAM":
+def _perturb_banked_dram(system, mode):
+    """Make banked DRAM slightly faster in the FAST mode only."""
+    if mode is ExecutionMode.FAST and type(system.dram).__name__ == "BankedDRAM":
         system.dram.row_hit_latency += 3
 
 

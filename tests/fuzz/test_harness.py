@@ -3,14 +3,13 @@
 import pytest
 
 from repro.fuzz import (
-    KERNEL_MODES,
-    PRODUCTION_MODE,
     check_modes,
     check_scenario,
     fuzz_iteration,
     run_mode,
     snapshot,
 )
+from repro.sim.config import ExecutionMode
 
 
 def _scenario_of_kind(kind: str, seed: int = 77, budget: int = 200):
@@ -25,13 +24,13 @@ def test_all_kinds_run_in_production_mode():
     for kind in ("isolation", "max_contention", "wcet_estimation",
                  "multiprogram", "mixed_criticality"):
         scenario = _scenario_of_kind(kind)
-        result = run_mode(scenario, PRODUCTION_MODE)
+        result = run_mode(scenario, ExecutionMode.FAST)
         assert result.total_cycles > 0
 
 
 def test_snapshot_covers_counters_and_memory():
     scenario = fuzz_iteration(77, 0)
-    shot = snapshot(run_mode(scenario, PRODUCTION_MODE), scenario.tua_core)
+    shot = snapshot(run_mode(scenario, ExecutionMode.FAST), scenario.tua_core)
     assert shot["total_cycles"] > 0
     assert scenario.tua_core in shot["core_counters"]
     assert "memory" in shot["extra"]
@@ -48,8 +47,8 @@ def test_perturbing_one_mode_is_detected():
 
     # A perturbation of the L2 latency table in exactly one mode must
     # surface as a "modes" violation.
-    def perturb_latency(system, mode_name):
-        if mode_name == "batch":
+    def perturb_latency(system, mode):
+        if mode is ExecutionMode.FAST:
             slave = system.l2_slave
             slave._duration_by_class = {
                 kind: max(1, duration - 1)
@@ -59,17 +58,10 @@ def test_perturbing_one_mode_is_detected():
     violation = check_modes(scenario, perturb_latency)
     assert violation is not None
     assert violation.invariant == "modes"
-    assert "batch" in violation.detail
+    assert "fast diverges from reference" in violation.detail
 
 
 def test_unknown_invariant_name_rejected():
     scenario = fuzz_iteration(77, 0).with_updates(checks=("nonsense",))
     with pytest.raises(ValueError):
         check_scenario(scenario)
-
-
-def test_modes_table_matches_the_equivalence_matrix():
-    names = [mode.name for mode in KERNEL_MODES]
-    assert names == ["stepping", "fast_forward", "batch", "event_queue"]
-    assert KERNEL_MODES[0].fast_forward is False
-    assert PRODUCTION_MODE.event_queue is True

@@ -1,13 +1,14 @@
 """Tests for the deterministic greedy shrinker."""
 
 from repro.fuzz import check_scenario, fuzz_iteration, shrink_scenario
+from repro.sim.config import ExecutionMode
 
 
 def _failing_pair(seed: int = 99, budget: int = 40):
     """A (scenario, violation) pair produced by a one-mode perturbation."""
 
-    def perturb(system, mode_name):
-        if mode_name == "batch":
+    def perturb(system, mode):
+        if mode is ExecutionMode.FAST:
             slave = system.l2_slave
             slave._duration_by_class = {
                 kind: max(1, duration - 1)

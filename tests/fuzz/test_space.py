@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.fuzz import (
-    KERNEL_MODES,
     SCENARIO_KINDS,
     build_system,
     draw_scenario,
@@ -14,6 +13,7 @@ from repro.fuzz import (
     scenario_to_dict,
 )
 from repro.fuzz.space import DETERMINISTIC_ARBITERS, canonical_json
+from repro.sim.config import ExecutionMode
 
 
 def _draw_many(seed: int, count: int):
@@ -25,7 +25,7 @@ def test_drawn_scenarios_are_buildable_in_every_mode():
     """Every drawn scenario must assemble a system without errors — the
     space generates only valid configurations by construction."""
     for scenario in _draw_many(5, 15):
-        for mode in KERNEL_MODES:
+        for mode in ExecutionMode:
             build_system(scenario, mode)
 
 

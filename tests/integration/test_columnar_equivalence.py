@@ -1,13 +1,16 @@
-"""Columnar trace equivalence matrix.
+"""Columnar trace and batch interpreter equivalence matrix.
 
-The columnar data path promises that a run whose traces are pre-materialised
-into ``(gap, address, kind)`` arrays — and consumed by the core's cursor —
-is *bit-identical* to the item-at-a-time run: same RNG draws, same cache
-outcomes, same grant/completion cycles, same counters, same pWCET inputs.
-These tests enforce the promise across every arbitration policy, CBA on and
-off, and the scenarios that exercise every consumption state (greedy
-contention, the Table I WCET-estimation mode, multiprogram runs with store
-buffers), mirroring the fast-forward equivalence matrix of PR 2.
+The FAST execution mode pre-materialises every trace into ``(gap, address,
+kind)`` arrays consumed by the core's cursor, and lets the batch interpreter
+execute whole bus-free stretches (L1-hit reads and pure compute) in one
+call.  It promises to be *bit-identical* to the REFERENCE oracle, which
+steps every cycle over lazy item-at-a-time traces: same RNG draws, same
+cache outcomes, same grant/completion cycles, same counters, same pWCET
+inputs.  These tests enforce the promise across every arbitration policy,
+CBA on and off, and the scenarios that exercise every consumption state
+(greedy contention, the Table I WCET-estimation mode, multiprogram runs with
+store buffers, runs truncated mid-stretch, the vectorised residency scan),
+mirroring the fast-forward equivalence matrix.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import pytest
 from repro.cpu.trace import MaterializedTrace
 from repro.platform.scenarios import (
     ScenarioResult,
+    run_isolation,
     run_max_contention,
     run_multiprogram,
     run_wcet_estimation,
 )
 from repro.platform.system import MulticoreSystem
-from repro.sim.config import PlatformConfig
+from repro.sim.config import ExecutionMode, PlatformConfig
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.synthetic import cpu_bound_workload, mixed_workload
 
@@ -37,6 +41,8 @@ ARBITERS = [
 ]
 
 MAX_CYCLES = 2_000_000
+REFERENCE = ExecutionMode.REFERENCE
+FAST = ExecutionMode.FAST
 
 
 def _config(arbitration: str, use_cba: bool, **kwargs) -> PlatformConfig:
@@ -94,15 +100,13 @@ def test_max_contention_identical_with_and_without_materialization(
     arbitration: str, use_cba: bool, varied_workload: WorkloadSpec
 ):
     """Greedy contention across the full policy/CBA matrix, with a workload
-    that mixes reads, writes, atomics, hot-region reuse and a compute tail."""
+    that mixes reads, writes, atomics, hot-region reuse and a compute tail:
+    the batch path must place every boundary bus access, grant and RNG draw
+    on exactly the cycles the stepped item-at-a-time path produces."""
     config = _config(arbitration, use_cba)
     kwargs = dict(seed=11, run_index=2, max_cycles=MAX_CYCLES)
-    lazy = run_max_contention(
-        varied_workload, config, materialize_traces=False, **kwargs
-    )
-    columnar = run_max_contention(
-        varied_workload, config, materialize_traces=True, **kwargs
-    )
+    lazy = run_max_contention(varied_workload, config, mode=REFERENCE, **kwargs)
+    columnar = run_max_contention(varied_workload, config, mode=FAST, **kwargs)
     assert _snapshot(lazy) == _snapshot(columnar)
 
 
@@ -112,16 +116,14 @@ def test_wcet_estimation_identical_with_and_without_materialization(
     arbitration: str, use_cba: bool, varied_workload: WorkloadSpec
 ):
     """The Table I analysis-mode scenario: the contenders observe the TuA's
-    request line, which the cursor path must toggle on exactly the same
-    cycles as the item-at-a-time path."""
+    request line cycle by cycle (the most timing-sensitive observer, and the
+    poll-fallback components of the event queue), which the cursor and batch
+    paths must toggle on exactly the same cycles as the item-at-a-time
+    path."""
     config = _config(arbitration, use_cba)
     kwargs = dict(seed=5, run_index=7, max_cycles=MAX_CYCLES)
-    lazy = run_wcet_estimation(
-        varied_workload, config, materialize_traces=False, **kwargs
-    )
-    columnar = run_wcet_estimation(
-        varied_workload, config, materialize_traces=True, **kwargs
-    )
+    lazy = run_wcet_estimation(varied_workload, config, mode=REFERENCE, **kwargs)
+    columnar = run_wcet_estimation(varied_workload, config, mode=FAST, **kwargs)
     assert _snapshot(lazy) == _snapshot(columnar)
 
 
@@ -129,7 +131,9 @@ def test_wcet_estimation_identical_with_and_without_materialization(
 @pytest.mark.parametrize("arbitration", ["round_robin", "tdma"])
 def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bool):
     """Real tasks on every core plus write buffers: exercises the buffered
-    store drain, port-wait and store-stall states on the cursor path."""
+    store drain, port-wait and store-stall states on the cursor path, the
+    suspension of batching while stores drain, and core wakes rescheduled
+    from inside the bus's tick (completion callbacks)."""
     config = _config(arbitration, use_cba, store_buffer_entries=2)
     store_heavy = WorkloadSpec(
         name="store_heavy",
@@ -144,127 +148,18 @@ def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bo
         2: cpu_bound_workload(num_accesses=80),
     }
     kwargs = dict(seed=3, run_index=1, max_cycles=MAX_CYCLES)
-    lazy = run_multiprogram(workloads, config, materialize_traces=False, **kwargs)
-    columnar = run_multiprogram(workloads, config, materialize_traces=True, **kwargs)
+    lazy = run_multiprogram(workloads, config, mode=REFERENCE, **kwargs)
+    columnar = run_multiprogram(workloads, config, mode=FAST, **kwargs)
     assert _snapshot(lazy) == _snapshot(columnar)
-
-
-@pytest.mark.parametrize("materialize", [False, True], ids=["lazy", "columnar"])
-@pytest.mark.parametrize("fast_forward", [False, True], ids=["stepped", "skipped"])
-def test_columnar_and_fast_forward_compose(
-    fast_forward: bool, materialize: bool, varied_workload: WorkloadSpec
-):
-    """All four (fast_forward x materialize) combinations are bit-identical:
-    the PR 2 and columnar equivalence guarantees compose."""
-    config = _config("random_permutations", use_cba=True)
-    result = run_wcet_estimation(
-        varied_workload,
-        config,
-        seed=23,
-        run_index=4,
-        max_cycles=MAX_CYCLES,
-        fast_forward=fast_forward,
-        materialize_traces=materialize,
-    )
-    baseline = run_wcet_estimation(
-        varied_workload,
-        config,
-        seed=23,
-        run_index=4,
-        max_cycles=MAX_CYCLES,
-        fast_forward=False,
-        materialize_traces=False,
-    )
-    assert _snapshot(result) == _snapshot(baseline)
-
-
-# ----------------------------------------------------------------------
-# Batch interpreter rows
-# ----------------------------------------------------------------------
-# The batch interpreter executes whole bus-free stretches (L1-hit reads and
-# pure compute) in one call; these rows extend the matrix with the promise
-# that doing so is bit-identical to per-cycle stepping across every arbiter,
-# CBA on/off and fast-forward on/off.
-
-
-@pytest.mark.parametrize("fast_forward", [False, True], ids=["stepped", "skipped"])
-@pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
-@pytest.mark.parametrize("arbitration", ARBITERS)
-def test_batch_interpreter_identical_across_arbiters(
-    arbitration: str, use_cba: bool, fast_forward: bool, varied_workload: WorkloadSpec
-):
-    """Greedy contention across the full policy/CBA/fast-forward matrix: the
-    batch path must place every boundary bus access, grant and RNG draw on
-    exactly the cycles the per-cycle columnar path produces."""
-    config = _config(arbitration, use_cba)
-    kwargs = dict(seed=17, run_index=3, max_cycles=MAX_CYCLES, fast_forward=fast_forward)
-    plain = run_max_contention(
-        varied_workload, config, batch_interpreter=False, **kwargs
-    )
-    batched = run_max_contention(
-        varied_workload, config, batch_interpreter=True, **kwargs
-    )
-    assert _snapshot(plain) == _snapshot(batched)
-
-
-@pytest.mark.parametrize("fast_forward", [False, True], ids=["stepped", "skipped"])
-@pytest.mark.parametrize("batch", [False, True], ids=["item", "batch"])
-def test_batch_and_fast_forward_compose(
-    fast_forward: bool, batch: bool, varied_workload: WorkloadSpec
-):
-    """All four (fast_forward x batch) combinations equal the lazy stepped
-    baseline in the WCET-estimation scenario, where the contenders watch the
-    TuA's request line cycle-by-cycle — the most timing-sensitive observer."""
-    config = _config("random_permutations", use_cba=True)
-    result = run_wcet_estimation(
-        varied_workload,
-        config,
-        seed=23,
-        run_index=4,
-        max_cycles=MAX_CYCLES,
-        fast_forward=fast_forward,
-        batch_interpreter=batch,
-    )
-    baseline = run_wcet_estimation(
-        varied_workload,
-        config,
-        seed=23,
-        run_index=4,
-        max_cycles=MAX_CYCLES,
-        fast_forward=False,
-        materialize_traces=False,
-    )
-    assert _snapshot(result) == _snapshot(baseline)
-
-
-@pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
-def test_batch_with_store_buffers_identical(use_cba: bool):
-    """Write buffers suspend batching while stores drain; the suspension must
-    be invisible in the results."""
-    config = _config("round_robin", use_cba, store_buffer_entries=2)
-    workloads = {
-        0: mixed_workload(num_accesses=120),
-        1: WorkloadSpec(
-            name="store_heavy",
-            num_accesses=120,
-            working_set_bytes=64 * 1024,
-            mean_compute_gap=2.0,
-            write_fraction=0.6,
-        ),
-        2: cpu_bound_workload(num_accesses=80),
-    }
-    kwargs = dict(seed=3, run_index=1, max_cycles=MAX_CYCLES)
-    plain = run_multiprogram(workloads, config, batch_interpreter=False, **kwargs)
-    batched = run_multiprogram(workloads, config, batch_interpreter=True, **kwargs)
-    assert _snapshot(plain) == _snapshot(batched)
 
 
 @pytest.mark.parametrize("max_cycles", [1_500, 3_000, 8_000, 12_345])
 def test_batch_truncated_runs_identical(max_cycles: int):
     """A run truncated at its cycle budget mid-stretch must report exactly
     the partial work the stepped run reports: the batch interpreter bounds
-    its eager effects by the kernel's run horizon, so nothing from cycles
-    past the truncation point leaks into counters or cache state."""
+    its eager effects by the kernel's run horizon, and wakes landing exactly
+    on (or past) the horizon are never executed, so nothing from cycles past
+    the truncation point leaks into counters or cache state."""
     config = _config("round_robin", use_cba=False)
     l1_resident = WorkloadSpec(
         name="l1_resident",
@@ -274,116 +169,16 @@ def test_batch_truncated_runs_identical(max_cycles: int):
         write_fraction=0.0,
     )
     kwargs = dict(seed=7, run_index=0, max_cycles=max_cycles, allow_truncation=True)
-    from repro.platform.scenarios import run_isolation
-
-    plain = run_isolation(l1_resident, config, batch_interpreter=False, **kwargs)
-    batched = run_isolation(l1_resident, config, batch_interpreter=True, **kwargs)
+    plain = run_isolation(l1_resident, config, mode=REFERENCE, **kwargs)
+    batched = run_isolation(l1_resident, config, mode=FAST, **kwargs)
     assert plain.truncated and batched.truncated
     assert _snapshot(plain) == _snapshot(batched)
 
 
-def test_batching_is_not_vacuous(varied_workload: WorkloadSpec):
-    """The batch rows must actually exercise the batch path: an isolation run
-    of the hot-region workload batches a substantial share of its items."""
-    config = _config("round_robin", use_cba=False)
-    system = MulticoreSystem(config, seed=1, run_index=0)
-    core = system.add_task(0, varied_workload)
-    system.run(max_cycles=MAX_CYCLES)
-    assert core.batch_stretches > 0
-    assert core.batched_items > 0
-    off_system = MulticoreSystem(config, seed=1, run_index=0, batch_interpreter=False)
-    off_core = off_system.add_task(0, varied_workload)
-    off_system.run(max_cycles=MAX_CYCLES)
-    assert off_core.batched_items == 0
-
-
-# ----------------------------------------------------------------------
-# Event-queue rows
-# ----------------------------------------------------------------------
-# The heap-based event queue finds the same wakes the per-component hint
-# scan finds, only O(log n) instead of O(components); these rows extend the
-# matrix with the promise that the two scheduling mechanisms are
-# bit-identical across every arbiter, CBA on/off, batch on/off, the
-# poll-fallback WCET contenders, store buffers and truncated runs.
-
-
-@pytest.mark.parametrize("batch", [False, True], ids=["item", "batch"])
-@pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
-@pytest.mark.parametrize("arbitration", ARBITERS)
-def test_event_queue_identical_across_arbiters(
-    arbitration: str, use_cba: bool, batch: bool, varied_workload: WorkloadSpec
-):
-    """Greedy contention across the full policy/CBA/batch matrix: the queue
-    must wake the platform on exactly the cycles the hint scan does."""
-    config = _config(arbitration, use_cba)
-    kwargs = dict(seed=13, run_index=5, max_cycles=MAX_CYCLES, batch_interpreter=batch)
-    scanned = run_max_contention(varied_workload, config, event_queue=False, **kwargs)
-    queued = run_max_contention(varied_workload, config, event_queue=True, **kwargs)
-    assert _snapshot(scanned) == _snapshot(queued)
-
-
-@pytest.mark.parametrize("use_cba", [True, False], ids=["cba", "plain"])
-def test_event_queue_wcet_estimation_identical(
-    use_cba: bool, varied_workload: WorkloadSpec
-):
-    """The Table I scenario mixes pushed components (cores, bus, monitor)
-    with the poll-fallback WCET contenders, whose hint reads the TuA's
-    request line — the cross-component case the queue cannot own."""
-    config = _config("random_permutations", use_cba)
-    kwargs = dict(seed=5, run_index=7, max_cycles=MAX_CYCLES)
-    scanned = run_wcet_estimation(varied_workload, config, event_queue=False, **kwargs)
-    queued = run_wcet_estimation(varied_workload, config, event_queue=True, **kwargs)
-    assert _snapshot(scanned) == _snapshot(queued)
-
-
-def test_event_queue_multiprogram_with_store_buffers_identical():
-    """Buffered stores reschedule core wakes from inside the bus's tick
-    (completion callbacks); the queue must see every such transition."""
-    config = _config("tdma", use_cba=True, store_buffer_entries=2)
-    workloads = {
-        0: mixed_workload(num_accesses=120),
-        1: WorkloadSpec(
-            name="store_heavy",
-            num_accesses=120,
-            working_set_bytes=64 * 1024,
-            mean_compute_gap=2.0,
-            write_fraction=0.6,
-        ),
-        2: cpu_bound_workload(num_accesses=80),
-    }
-    kwargs = dict(seed=3, run_index=1, max_cycles=MAX_CYCLES)
-    scanned = run_multiprogram(workloads, config, event_queue=False, **kwargs)
-    queued = run_multiprogram(workloads, config, event_queue=True, **kwargs)
-    assert _snapshot(scanned) == _snapshot(queued)
-
-
-@pytest.mark.parametrize("max_cycles", [1_500, 3_000, 8_000, 12_345])
-def test_event_queue_truncated_runs_identical(max_cycles: int):
-    """Truncation at the cycle budget composes with the queue: wakes landing
-    exactly on (or past) the horizon are never executed, and the vectorised
-    batch scan bounds its eager effects identically under both mechanisms."""
-    config = _config("round_robin", use_cba=False)
-    l1_resident = WorkloadSpec(
-        name="l1_resident",
-        num_accesses=2_000,
-        working_set_bytes=512,
-        mean_compute_gap=6.0,
-        write_fraction=0.0,
-    )
-    kwargs = dict(seed=7, run_index=0, max_cycles=max_cycles, allow_truncation=True)
-    from repro.platform.scenarios import run_isolation
-
-    scanned = run_isolation(l1_resident, config, event_queue=False, **kwargs)
-    queued = run_isolation(l1_resident, config, event_queue=True, **kwargs)
-    assert scanned.truncated and queued.truncated
-    assert _snapshot(scanned) == _snapshot(queued)
-
-
 @pytest.mark.parametrize("arbitration", ["round_robin", "random_permutations"])
-def test_event_queue_vectorised_residency_identical(arbitration: str):
+def test_vectorised_residency_identical(arbitration: str):
     """An L1-resident, write-free workload drives the *vectorised* residency
-    scan (long stretches, windows unbounded by stores) under both scheduling
-    mechanisms and against the unbatched baseline."""
+    scan (long stretches, windows unbounded by stores)."""
     config = _config(arbitration, use_cba=False)
     l1_resident = WorkloadSpec(
         name="l1_resident",
@@ -393,41 +188,57 @@ def test_event_queue_vectorised_residency_identical(arbitration: str):
         write_fraction=0.0,
     )
     kwargs = dict(seed=19, run_index=2, max_cycles=MAX_CYCLES)
-    from repro.platform.scenarios import run_isolation
-
-    baseline = run_isolation(
-        l1_resident, config, event_queue=False, batch_interpreter=False, **kwargs
-    )
-    queued = run_isolation(
-        l1_resident, config, event_queue=True, batch_interpreter=True, **kwargs
-    )
-    assert _snapshot(baseline) == _snapshot(queued)
+    baseline = run_isolation(l1_resident, config, mode=REFERENCE, **kwargs)
+    fast = run_isolation(l1_resident, config, mode=FAST, **kwargs)
+    assert _snapshot(baseline) == _snapshot(fast)
 
 
-def test_event_queue_is_not_vacuous(varied_workload: WorkloadSpec):
-    """The queue rows must actually schedule through the heap: the platform's
-    pushed components own live entries while the run progresses, and the
-    scan-mode kernel enqueues nothing."""
+# ----------------------------------------------------------------------
+# Non-vacuity: FAST really batches, skips and walks columns; REFERENCE
+# really does none of it.
+# ----------------------------------------------------------------------
+
+
+def test_batching_is_not_vacuous(varied_workload: WorkloadSpec):
+    """The matrix must actually exercise the batch path: an isolation run
+    of the hot-region workload batches a substantial share of its items."""
     config = _config("round_robin", use_cba=False)
-    system = MulticoreSystem(config, seed=1, run_index=0, event_queue=True)
+    system = MulticoreSystem(config, seed=1, run_index=0)
+    core = system.add_task(0, varied_workload)
+    system.run(max_cycles=MAX_CYCLES)
+    assert core.batch_stretches > 0
+    assert core.batched_items > 0
+    off_system = MulticoreSystem(config, seed=1, run_index=0, mode=REFERENCE)
+    off_core = off_system.add_task(0, varied_workload)
+    off_system.run(max_cycles=MAX_CYCLES)
+    assert off_core.batched_items == 0
+
+
+def test_fast_mode_schedules_through_the_heap(varied_workload: WorkloadSpec):
+    """FAST must actually schedule through the event queue: the platform's
+    pushed components own live heap entries from registration on, and the
+    run skips cycles; the REFERENCE run steps every one of them."""
+    config = _config("round_robin", use_cba=False)
+    system = MulticoreSystem(config, seed=1, run_index=0)
     core = system.add_task(0, varied_workload)
     system.finalize()
     kernel = system.kernel
     assert kernel.scheduled_wake(core) == 0  # primed from next_event
     system.run(max_cycles=MAX_CYCLES)
     assert kernel.cycles_skipped > 0
-    off = MulticoreSystem(config, seed=1, run_index=0, event_queue=False)
-    off_core = off.add_task(0, varied_workload)
-    off.finalize()
-    assert off.kernel.scheduled_wake(off_core) is None
+    stepped = MulticoreSystem(config, seed=1, run_index=0, mode=REFERENCE)
+    stepped.add_task(0, varied_workload)
+    stepped.run(max_cycles=MAX_CYCLES)
+    assert stepped.kernel.cycles_skipped == 0
 
 
 def test_materialization_is_not_vacuous(varied_workload: WorkloadSpec):
-    """The columnar run must actually use a materialised trace (and the lazy
-    run must not), so the matrix cannot pass by comparing identical paths."""
+    """The FAST run must actually use a materialised trace (and the
+    REFERENCE run must not), so the matrix cannot pass by comparing
+    identical paths."""
     config = _config("random_permutations", use_cba=False)
-    columnar = MulticoreSystem(config, seed=1, run_index=0, materialize_traces=True)
-    lazy = MulticoreSystem(config, seed=1, run_index=0, materialize_traces=False)
+    columnar = MulticoreSystem(config, seed=1, run_index=0, mode=FAST)
+    lazy = MulticoreSystem(config, seed=1, run_index=0, mode=REFERENCE)
     columnar_core = columnar.add_task(0, varied_workload)
     lazy_core = lazy.add_task(0, varied_workload)
     assert isinstance(columnar_core.trace, MaterializedTrace)

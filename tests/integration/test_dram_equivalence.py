@@ -2,9 +2,9 @@
 
 The banked DRAM model (row buffers, bank conflicts, FR-FCFS reordering) is
 driven synchronously from the L2 bus slave at grant time, so it must be
-*bit-identical* across every kernel execution mode — plain stepping,
-event-aware fast-forward, the batch interpreter and the event-queue
-scheduler — exactly like the fixed-latency model it generalises.  These
+*bit-identical* between the two execution modes — the stepped REFERENCE
+oracle and the FAST production path — exactly like the fixed-latency model
+it generalises.  These
 tests enforce that for both controller policies under real multi-core
 contention, and guard against vacuity: the banked model must actually
 diverge from the fixed model, and FR-FCFS must actually reorder.
@@ -20,18 +20,18 @@ from __future__ import annotations
 import pytest
 
 from repro.platform.system import MulticoreSystem
-from repro.sim.config import BusTimings, CacheGeometry, MemoryConfig, PlatformConfig
+from repro.sim.config import (
+    BusTimings,
+    CacheGeometry,
+    ExecutionMode,
+    MemoryConfig,
+    PlatformConfig,
+)
 from repro.workloads.base import AddressPattern, WorkloadSpec
 
 MAX_CYCLES = 2_000_000
-
-#: (fast_forward, event_queue, batch_interpreter, materialize_traces)
-KERNEL_MODES = {
-    "stepping": (False, False, False, False),
-    "fast_forward": (True, False, False, True),
-    "batch": (True, False, True, True),
-    "event_queue": (True, True, True, True),
-}
+REFERENCE = ExecutionMode.REFERENCE
+FAST = ExecutionMode.FAST
 
 DIRTY_STRIDER = WorkloadSpec(
     name="dirty-strider",
@@ -65,17 +65,14 @@ def _config(policy: str, random_caches: bool = True) -> PlatformConfig:
     )
 
 
-def _run(config: PlatformConfig, mode: str, seed: int = 11, cores: int | None = None):
-    fast_forward, event_queue, batch, materialize = KERNEL_MODES[mode]
+def _run(
+    config: PlatformConfig,
+    mode: ExecutionMode,
+    seed: int = 11,
+    cores: int | None = None,
+):
     system = MulticoreSystem(
-        config,
-        seed=seed,
-        run_index=0,
-        label=f"dram-{mode}",
-        fast_forward=fast_forward,
-        event_queue=event_queue,
-        batch_interpreter=batch,
-        materialize_traces=materialize,
+        config, seed=seed, run_index=0, label=f"dram-{mode.value}", mode=mode
     )
     for core in range(cores if cores is not None else config.num_cores):
         system.add_task(core, DIRTY_STRIDER)
@@ -100,17 +97,15 @@ def _snapshot(result) -> dict:
 @pytest.mark.parametrize("policy", ["in_order", "frfcfs"])
 def test_banked_dram_bit_identical_across_kernel_modes(policy):
     config = _config(policy)
-    reference = _snapshot(_run(config, "stepping"))
+    reference = _snapshot(_run(config, REFERENCE))
     assert reference["extra"]["memory"]["row_conflicts"] > 0  # DRAM truly contended
-    for mode in ("fast_forward", "batch", "event_queue"):
-        assert _snapshot(_run(config, mode)) == reference, mode
+    assert _snapshot(_run(config, FAST)) == reference
 
 
 def test_banked_dram_deterministic_caches_bit_identical():
     config = _config("frfcfs", random_caches=False)
-    reference = _snapshot(_run(config, "stepping"))
-    for mode in ("fast_forward", "batch", "event_queue"):
-        assert _snapshot(_run(config, mode)) == reference, mode
+    reference = _snapshot(_run(config, REFERENCE))
+    assert _snapshot(_run(config, FAST)) == reference
 
 
 def test_reordering_bit_identical_across_kernel_modes():
@@ -118,18 +113,17 @@ def test_reordering_bit_identical_across_kernel_modes():
 
     A single core's miss stream keeps its fetch row open between consecutive
     dirty misses (multi-core interleaving would close it), so this run
-    actually reorders — and every mode must reorder identically.
+    actually reorders — and both modes must reorder identically.
     """
     config = _config("frfcfs")
-    reference = _snapshot(_run(config, "stepping", cores=1))
+    reference = _snapshot(_run(config, REFERENCE, cores=1))
     assert reference["extra"]["memory"]["reordered_accesses"] > 0
-    for mode in ("fast_forward", "batch", "event_queue"):
-        assert _snapshot(_run(config, mode, cores=1)) == reference, mode
+    assert _snapshot(_run(config, FAST, cores=1)) == reference
 
 
 def test_frfcfs_differs_from_in_order():
-    in_order = _run(_config("in_order"), "event_queue", cores=1)
-    frfcfs = _run(_config("frfcfs"), "event_queue", cores=1)
+    in_order = _run(_config("in_order"), FAST, cores=1)
+    frfcfs = _run(_config("frfcfs"), FAST, cores=1)
     assert in_order.total_cycles != frfcfs.total_cycles
     # Row hits recovered by reordering make the frfcfs schedule faster overall.
     assert frfcfs.extra["memory"]["row_hits"] > in_order.extra["memory"]["row_hits"]
@@ -138,7 +132,7 @@ def test_frfcfs_differs_from_in_order():
 
 def test_banked_differs_from_fixed():
     """Non-vacuity: the banked model changes timing relative to the fixed model."""
-    banked = _run(_config("in_order"), "event_queue")
-    fixed = _run(_config("in_order").with_updates(memory=MemoryConfig()), "event_queue")
+    banked = _run(_config("in_order"), FAST)
+    fixed = _run(_config("in_order").with_updates(memory=MemoryConfig()), FAST)
     assert banked.total_cycles != fixed.total_cycles
     assert fixed.extra["memory"]["row_conflicts"] == 0

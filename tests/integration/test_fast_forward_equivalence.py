@@ -3,24 +3,28 @@
 The event-aware kernel promises that jumping over dead cycles is
 *bit-identical* to stepping through them: same grant/completion cycles, same
 RNG draws, same counters, same pWCET inputs.  These tests enforce the promise
-across every arbitration policy, both cache configurations (random placement
-+ replacement vs deterministic modulo + LRU), CBA on and off, and the
-scenarios that exercise every component state (greedy contention, the
-WCET-estimation mode of Table I, multiprogram runs with store buffers).
+— the FAST execution mode against the stepped REFERENCE oracle — across every
+arbitration policy, both cache configurations (random placement +
+replacement vs deterministic modulo + LRU), CBA on and off, the scenarios
+that exercise every component state (greedy contention, the
+WCET-estimation mode of Table I, multiprogram runs with store buffers), and
+the many-core platforms the event queue exists for.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.platform.presets import cba_config, rp_config
 from repro.platform.scenarios import (
     ScenarioResult,
     run_max_contention,
+    run_mixed_criticality,
     run_multiprogram,
     run_wcet_estimation,
 )
 from repro.platform.system import MulticoreSystem
-from repro.sim.config import CBAParameters, PlatformConfig
+from repro.sim.config import ExecutionMode, PlatformConfig
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.synthetic import cpu_bound_workload, streaming_workload
 
@@ -34,6 +38,8 @@ ARBITERS = [
 ]
 
 MAX_CYCLES = 2_000_000
+REFERENCE = ExecutionMode.REFERENCE
+FAST = ExecutionMode.FAST
 
 
 def _config(arbitration: str, random_caches: bool, use_cba: bool, **kwargs) -> PlatformConfig:
@@ -82,8 +88,8 @@ def test_max_contention_identical_with_and_without_skipping(
     config = _config(arbitration, random_caches, use_cba)
     workload = streaming_workload(num_accesses=150)
     kwargs = dict(seed=11, run_index=2, max_cycles=MAX_CYCLES)
-    stepped = run_max_contention(workload, config, fast_forward=False, **kwargs)
-    skipped = run_max_contention(workload, config, fast_forward=True, **kwargs)
+    stepped = run_max_contention(workload, config, mode=REFERENCE, **kwargs)
+    skipped = run_max_contention(workload, config, mode=FAST, **kwargs)
     assert _snapshot(stepped) == _snapshot(skipped)
 
 
@@ -98,8 +104,8 @@ def test_wcet_estimation_identical_with_and_without_skipping(
     config = _config(arbitration, random_caches=True, use_cba=use_cba)
     workload = streaming_workload(num_accesses=120)
     kwargs = dict(seed=5, run_index=7, max_cycles=MAX_CYCLES)
-    stepped = run_wcet_estimation(workload, config, fast_forward=False, **kwargs)
-    skipped = run_wcet_estimation(workload, config, fast_forward=True, **kwargs)
+    stepped = run_wcet_estimation(workload, config, mode=REFERENCE, **kwargs)
+    skipped = run_wcet_estimation(workload, config, mode=FAST, **kwargs)
     assert _snapshot(stepped) == _snapshot(skipped)
 
 
@@ -122,14 +128,42 @@ def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bo
         2: cpu_bound_workload(num_accesses=80),
     }
     kwargs = dict(seed=3, run_index=1, max_cycles=MAX_CYCLES)
-    stepped = run_multiprogram(workloads, config, fast_forward=False, **kwargs)
-    skipped = run_multiprogram(workloads, config, fast_forward=True, **kwargs)
+    stepped = run_multiprogram(workloads, config, mode=REFERENCE, **kwargs)
+    skipped = run_multiprogram(workloads, config, mode=FAST, **kwargs)
     assert _snapshot(stepped) == _snapshot(skipped)
 
 
-def _build_contention_system(fast_forward: bool, use_cba: bool) -> MulticoreSystem:
+def test_sixteen_core_round_robin_l1_resident_identical():
+    """Sixteen L1-resident tasks consolidated on one round-robin bus (the
+    ``manycore_l1`` benchmark shape): many pushed wakes per scheduling
+    decision, where a heap entry per component must still wake every core
+    on exactly its stepped cycles."""
+    config = rp_config(16, arbitration="round_robin")
+    workload = cpu_bound_workload(num_accesses=150)
+    kwargs = dict(
+        seed=29, run_index=1, max_cycles=MAX_CYCLES, best_effort="cpu_bound"
+    )
+    stepped = run_mixed_criticality(workload, config, mode=REFERENCE, **kwargs)
+    skipped = run_mixed_criticality(workload, config, mode=FAST, **kwargs)
+    assert _snapshot(stepped) == _snapshot(skipped)
+    assert skipped.system.observability["cycles_skipped"] > 0
+
+
+def test_eight_core_cba_max_contention_identical():
+    """Seven greedy contenders against CBA on eight cores: budget recovery
+    wakes and contender re-issues interleave on a wider credit bank."""
+    config = cba_config(8)
+    workload = streaming_workload(num_accesses=100)
+    kwargs = dict(seed=31, run_index=0, max_cycles=MAX_CYCLES)
+    stepped = run_max_contention(workload, config, mode=REFERENCE, **kwargs)
+    skipped = run_max_contention(workload, config, mode=FAST, **kwargs)
+    assert _snapshot(stepped) == _snapshot(skipped)
+    assert stepped.system.cba_blocked_cycles > 0
+
+
+def _build_contention_system(mode: ExecutionMode, use_cba: bool) -> MulticoreSystem:
     config = _config("random_permutations", random_caches=True, use_cba=use_cba)
-    system = MulticoreSystem(config, seed=23, run_index=4, fast_forward=fast_forward)
+    system = MulticoreSystem(config, seed=23, run_index=4, mode=mode)
     system.add_task(0, streaming_workload(num_accesses=150))
     for core in range(1, config.num_cores):
         system.add_greedy_contender(core)
@@ -142,8 +176,8 @@ def test_internal_state_identical_and_skipping_not_vacuous(use_cba: bool):
     windowed monitor accounting and credit-bank totals — plus proof that the
     fast-forwarded run actually skipped cycles (the matrix must not pass
     vacuously because nothing was ever jumped)."""
-    stepped = _build_contention_system(fast_forward=False, use_cba=use_cba)
-    skipped = _build_contention_system(fast_forward=True, use_cba=use_cba)
+    stepped = _build_contention_system(REFERENCE, use_cba=use_cba)
+    skipped = _build_contention_system(FAST, use_cba=use_cba)
     stepped.run(max_cycles=MAX_CYCLES)
     skipped.run(max_cycles=MAX_CYCLES)
 
@@ -171,7 +205,7 @@ def test_internal_state_identical_and_skipping_not_vacuous(use_cba: bool):
 def test_fast_forward_skips_most_cycles_of_a_memory_bound_run():
     """The point of the PR: in a bus-stall-bound run nearly every cycle is
     dead time, and the kernel should jump it rather than step it."""
-    system = _build_contention_system(fast_forward=True, use_cba=False)
+    system = _build_contention_system(FAST, use_cba=False)
     system.run(max_cycles=MAX_CYCLES)
     total = system.kernel.clock.cycle
     assert system.kernel.cycles_skipped > 0.8 * total

@@ -1,11 +1,10 @@
 """Unit tests for the kernel's heap-based event queue.
 
-The queue replaces the per-component ``next_event`` poll with pushed wakes
-plus lazy generation-based invalidation.  These tests pin the contracts the
-platform relies on: wakes persist until superseded, staleness biases toward
-execution (never toward skipping), pushed and polled components compose, and
-the ``run_horizon``/truncation/resumption behaviour of ``run`` is identical
-under both scheduling mechanisms.
+The queue schedules pushed wakes with lazy generation-based invalidation.
+These tests pin the contracts the platform relies on: wakes persist until
+superseded, staleness biases toward execution (never toward skipping),
+pushed and polled components compose, and ``run`` honours its horizon,
+truncation and resumption.
 """
 
 import pytest
@@ -190,36 +189,17 @@ def test_pushed_and_polled_components_compose():
     assert executed == len({c for c in range(600) if c % 100 == 0 or c % 60 == 0})
 
 
-def test_queue_and_scan_modes_execute_identically():
-    results = []
-    for event_queue in (False, True):
-        kernel = Kernel(event_queue=event_queue)
-        pusher = kernel.register(PeriodicPusher("push", period=70))
-        polled = kernel.register(PolledWorker("poll", period=45))
-        kernel.run(max_cycles=1500)
-        results.append(
-            (
-                pusher.action_cycles,
-                polled.action_cycles,
-                kernel.cycles_skipped,
-                kernel.clock.cycle,
-            )
-        )
-    assert results[0] == results[1]
-
-
 def test_wake_exactly_on_run_horizon_is_not_executed():
     """A wake landing exactly on ``start + max_cycles`` belongs to the first
     cycle that may never run: the run must end at the horizon without ticking
-    it, under both scheduling mechanisms."""
-    for event_queue in (False, True):
-        kernel = Kernel(event_queue=event_queue)
-        component = kernel.register(OneShot("edge", wake=500))
-        executed = kernel.run(max_cycles=500)
-        assert executed == 500
-        assert kernel.clock.cycle == 500
-        assert component.ticked_at == []  # the horizon tick never ran
-        assert kernel.truncated
+    it."""
+    kernel = Kernel()
+    component = kernel.register(OneShot("edge", wake=500))
+    executed = kernel.run(max_cycles=500)
+    assert executed == 500
+    assert kernel.clock.cycle == 500
+    assert component.ticked_at == []  # the horizon tick never ran
+    assert kernel.truncated
 
 
 def test_wake_one_cycle_before_horizon_is_executed():
@@ -318,15 +298,3 @@ def test_schedule_wake_on_unbound_component_is_safe():
     component = PeriodicPusher("loose", period=10)
     component.schedule_wake(5)  # no kernel: must not raise
     component.cancel_wake()
-
-
-def test_scan_mode_ignores_pushes():
-    """With event_queue=False the kernel polls hints; pushes are accepted
-    and ignored, so a pushing component behaves identically."""
-    kernel = Kernel(event_queue=False)
-    worker = kernel.register(PeriodicPusher("w", period=100))
-    kernel.run(max_cycles=1000)
-    assert worker.action_cycles == list(range(0, 1000, 100))
-    assert worker.idle_cycles_seen == 0
-    assert kernel.cycles_skipped == 1000 - 10
-    assert kernel.scheduled_wake(worker) is None  # nothing was enqueued

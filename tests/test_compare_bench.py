@@ -16,21 +16,16 @@ COMPARE = REPO_ROOT / "benchmarks" / "compare_bench.py"
 
 
 def kernel_report(
-    batch: float = 1.0,
-    fast_forward: float = 1.0,
-    queue: float = 1.0,
     bit_identical: bool = True,
-    stepping_mcps: float = 0.5,
-    queue_mcps: float = 2.0,
+    reference_mcps: float = 0.5,
+    fast_mcps: float = 2.0,
 ) -> dict:
     scenario = {
         "cycles": 1_000_000,
-        "wall_s_stepping": 4.0,
-        "wall_s_fast_forward": fast_forward,
-        "wall_s_batch": batch,
-        "wall_s_event_queue": queue,
-        "mcycles_per_s_stepping": stepping_mcps,
-        "mcycles_per_s_event_queue": queue_mcps,
+        "wall_s_reference": 1.0 / reference_mcps,
+        "wall_s_fast": 1.0 / fast_mcps,
+        "mcycles_per_s_reference": reference_mcps,
+        "mcycles_per_s_fast": fast_mcps,
         "bit_identical": bit_identical,
     }
     return {
@@ -79,25 +74,13 @@ def test_clean_reports_pass(tmp_path):
     assert "regression gate passed" in result.stdout
 
 
-def test_batch_slower_than_fast_forward_fails(tmp_path):
-    result = run_gate(tmp_path, kernel_report(batch=1.5, fast_forward=1.0))
-    assert result.returncode == 1
-    assert "batch path" in result.stdout
-
-
-def test_event_queue_slower_than_scan_fails(tmp_path):
-    result = run_gate(tmp_path, kernel_report(batch=1.0, queue=1.3))
-    assert result.returncode == 1
-    assert "event-queue scheduler" in result.stdout
-
-
 def test_untracked_scenarios_are_not_gated(tmp_path):
-    """Only low_contention/* is wall-clock gated; the memory-latency-bound
-    contention scenarios may sit at ~1x without failing the gate."""
-    report = kernel_report()
-    report["scenarios"]["contention/round_robin"]["wall_s_batch"] = 99.0
-    report["scenarios"]["contention/round_robin"]["wall_s_event_queue"] = 99.0
-    result = run_gate(tmp_path, report)
+    """Only low_contention/* is wall-clock gated; a memory-latency-bound
+    contention scenario may lose normalised throughput without failing."""
+    baseline = kernel_report()
+    current = kernel_report()
+    current["scenarios"]["contention/round_robin"]["mcycles_per_s_fast"] = 0.5
+    result = run_gate(tmp_path, current, baseline)
     assert result.returncode == 0, result.stdout + result.stderr
 
 
@@ -110,8 +93,8 @@ def test_bit_identity_failure_fails_everywhere(tmp_path):
 
 
 def test_normalised_throughput_regression_vs_baseline_fails(tmp_path):
-    baseline = kernel_report(stepping_mcps=0.5, queue_mcps=2.0)  # 4.0x normalised
-    current = kernel_report(stepping_mcps=0.5, queue_mcps=1.0)  # 2.0x normalised
+    baseline = kernel_report(reference_mcps=0.5, fast_mcps=2.0)  # 4.0x normalised
+    current = kernel_report(reference_mcps=0.5, fast_mcps=1.0)  # 2.0x normalised
     result = run_gate(tmp_path, current, baseline)
     assert result.returncode == 1
     assert "normalised throughput" in result.stdout
@@ -120,9 +103,9 @@ def test_normalised_throughput_regression_vs_baseline_fails(tmp_path):
 def test_baseline_diff_skipped_across_workload_sizes(tmp_path):
     """A --quick report (smaller traces, lower batch speedups) must not be
     gated against a full-size baseline — the diff is skipped, not failed."""
-    baseline = kernel_report(stepping_mcps=0.5, queue_mcps=2.0)
+    baseline = kernel_report(reference_mcps=0.5, fast_mcps=2.0)
     baseline["accesses"] = 800
-    current = kernel_report(stepping_mcps=0.5, queue_mcps=1.0)  # would regress
+    current = kernel_report(reference_mcps=0.5, fast_mcps=1.0)  # would regress
     current["accesses"] = 200
     result = run_gate(tmp_path, current, baseline)
     assert result.returncode == 0, result.stdout + result.stderr
@@ -130,24 +113,35 @@ def test_baseline_diff_skipped_across_workload_sizes(tmp_path):
 
 
 def test_machine_speed_differences_do_not_fail_baseline_diff(tmp_path):
-    """A CI runner half as fast as the baseline machine scales stepping and
-    default-mode throughput together; the normalised ratio is unchanged and
-    the gate passes."""
-    baseline = kernel_report(stepping_mcps=0.5, queue_mcps=2.0)
-    current = kernel_report(stepping_mcps=0.25, queue_mcps=1.0)
+    """A CI runner half as fast as the baseline machine scales REFERENCE and
+    FAST throughput together; the normalised ratio is unchanged and the gate
+    passes."""
+    baseline = kernel_report(reference_mcps=0.5, fast_mcps=2.0)
+    current = kernel_report(reference_mcps=0.25, fast_mcps=1.0)
     result = run_gate(tmp_path, current, baseline)
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_pre_event_queue_baseline_schema_still_compares(tmp_path):
-    """Baselines written before the event-queue column fall back to the
-    batch column for the normalised-throughput diff."""
-    baseline = kernel_report()
-    for entry in baseline["scenarios"].values():
-        del entry["mcycles_per_s_event_queue"]
-        entry["mcycles_per_s_batch"] = 2.0
+def _legacy_schema(report: dict) -> dict:
+    """Rename the two-mode columns to the four-mode schema's stepping and
+    default-mode columns."""
+    for entry in report["scenarios"].values():
+        entry["mcycles_per_s_stepping"] = entry.pop("mcycles_per_s_reference")
+        entry["mcycles_per_s_event_queue"] = entry.pop("mcycles_per_s_fast")
+    return report
+
+
+def test_four_mode_baseline_schema_still_compares(tmp_path):
+    """Baselines written before the two-mode schema fall back to their
+    stepping and default-mode columns for the normalised-throughput diff."""
+    baseline = _legacy_schema(kernel_report())
     result = run_gate(tmp_path, kernel_report(), baseline)
     assert result.returncode == 0, result.stdout + result.stderr
+    assert "incomparable" not in result.stdout
+    regressed = kernel_report(fast_mcps=1.0)
+    result = run_gate(tmp_path, regressed, baseline)
+    assert result.returncode == 1
+    assert "normalised throughput" in result.stdout
 
 
 def test_dropped_tracked_scenario_is_logged(tmp_path):
