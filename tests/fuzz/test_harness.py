@@ -65,3 +65,18 @@ def test_unknown_invariant_name_rejected():
     scenario = fuzz_iteration(77, 0).with_updates(checks=("nonsense",))
     with pytest.raises(ValueError):
         check_scenario(scenario)
+
+
+def test_modes_table_matches_the_equivalence_matrix():
+    """``check_modes`` runs exactly the oracle and the production path, in
+    that order: REFERENCE steps every cycle without batching, FAST skips
+    cycles and batches."""
+    scenario = _scenario_of_kind("isolation")
+    seen = []
+
+    def record(system, mode):
+        seen.append((mode, system.kernel.fast_forward))
+
+    assert check_modes(scenario, record) is None
+    assert seen == [(ExecutionMode.REFERENCE, False), (ExecutionMode.FAST, True)]
+    assert list(ExecutionMode) == [ExecutionMode.REFERENCE, ExecutionMode.FAST]

@@ -9,8 +9,9 @@ cache outcomes, same grant/completion cycles, same counters, same pWCET
 inputs.  These tests enforce the promise across every arbitration policy,
 CBA on and off, and the scenarios that exercise every consumption state
 (greedy contention, the Table I WCET-estimation mode, multiprogram runs with
-store buffers, runs truncated mid-stretch, the vectorised residency scan),
-mirroring the fast-forward equivalence matrix.
+store buffers, best-effort co-runners, runs truncated mid-stretch or under
+contention, the vectorised residency scan) on two to eight cores, mirroring
+the fast-forward equivalence matrix.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ import numpy as np
 import pytest
 
 from repro.cpu.trace import MaterializedTrace
+from repro.platform.presets import cba_config, rp_config
 from repro.platform.scenarios import (
     ScenarioResult,
     run_isolation,
     run_max_contention,
+    run_mixed_criticality,
     run_multiprogram,
     run_wcet_estimation,
 )
@@ -111,7 +114,7 @@ def test_max_contention_identical_with_and_without_materialization(
 
 
 @pytest.mark.parametrize("use_cba", [True, False], ids=["cba", "plain"])
-@pytest.mark.parametrize("arbitration", ["random_permutations", "tdma", "round_robin"])
+@pytest.mark.parametrize("arbitration", ARBITERS)
 def test_wcet_estimation_identical_with_and_without_materialization(
     arbitration: str, use_cba: bool, varied_workload: WorkloadSpec
 ):
@@ -128,7 +131,7 @@ def test_wcet_estimation_identical_with_and_without_materialization(
 
 
 @pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
-@pytest.mark.parametrize("arbitration", ["round_robin", "tdma"])
+@pytest.mark.parametrize("arbitration", ARBITERS)
 def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bool):
     """Real tasks on every core plus write buffers: exercises the buffered
     store drain, port-wait and store-stall states on the cursor path, the
@@ -151,6 +154,54 @@ def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bo
     lazy = run_multiprogram(workloads, config, mode=REFERENCE, **kwargs)
     columnar = run_multiprogram(workloads, config, mode=FAST, **kwargs)
     assert _snapshot(lazy) == _snapshot(columnar)
+
+
+@pytest.mark.parametrize("num_cores", [2, 8], ids=["2cores", "8cores"])
+@pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
+@pytest.mark.parametrize("arbitration", ARBITERS)
+def test_max_contention_identical_across_core_counts(
+    arbitration: str, use_cba: bool, num_cores: int, varied_workload: WorkloadSpec
+):
+    """Every policy's decision state depends on the master count (TDMA slot
+    tables, lottery tickets, permutation lengths, CBA credit banks): the
+    FAST path must match the oracle on the narrowest and on a wide bus, not
+    only on the default four cores."""
+    preset = cba_config if use_cba else rp_config
+    config = preset(num_cores, arbitration=arbitration)
+    kwargs = dict(seed=13, run_index=5, max_cycles=MAX_CYCLES)
+    reference = run_max_contention(varied_workload, config, mode=REFERENCE, **kwargs)
+    fast = run_max_contention(varied_workload, config, mode=FAST, **kwargs)
+    assert _snapshot(reference) == _snapshot(fast)
+
+
+@pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
+@pytest.mark.parametrize("arbitration", ARBITERS)
+def test_mixed_criticality_identical_across_arbiters(
+    arbitration: str, use_cba: bool, varied_workload: WorkloadSpec
+):
+    """Best-effort programs on the other cores (not greedy contenders): their
+    L1-resident stretches batch while the TuA's misses hold the bus, so
+    batched cores and bus-bound cores interleave under every policy."""
+    config = _config(arbitration, use_cba)
+    kwargs = dict(
+        seed=17, run_index=3, max_cycles=MAX_CYCLES, best_effort="cpu_bound"
+    )
+    reference = run_mixed_criticality(varied_workload, config, mode=REFERENCE, **kwargs)
+    fast = run_mixed_criticality(varied_workload, config, mode=FAST, **kwargs)
+    assert _snapshot(reference) == _snapshot(fast)
+
+
+@pytest.mark.parametrize("max_cycles", [700, 1_500, 3_001, 6_000])
+def test_contention_truncated_runs_identical(max_cycles: int, varied_workload):
+    """Truncation under CBA contention stops the run mid-transaction and
+    mid-budget-recovery: the partial bus, credit and counter state must match
+    the oracle's exactly."""
+    config = _config("round_robin", use_cba=True)
+    kwargs = dict(seed=7, run_index=0, max_cycles=max_cycles, allow_truncation=True)
+    reference = run_max_contention(varied_workload, config, mode=REFERENCE, **kwargs)
+    fast = run_max_contention(varied_workload, config, mode=FAST, **kwargs)
+    assert reference.truncated and fast.truncated
+    assert _snapshot(reference) == _snapshot(fast)
 
 
 @pytest.mark.parametrize("max_cycles", [1_500, 3_000, 8_000, 12_345])

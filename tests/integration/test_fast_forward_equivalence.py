@@ -94,7 +94,7 @@ def test_max_contention_identical_with_and_without_skipping(
 
 
 @pytest.mark.parametrize("use_cba", [True, False], ids=["cba", "plain"])
-@pytest.mark.parametrize("arbitration", ["random_permutations", "tdma", "round_robin"])
+@pytest.mark.parametrize("arbitration", ARBITERS)
 def test_wcet_estimation_identical_with_and_without_skipping(
     arbitration: str, use_cba: bool
 ):
@@ -110,7 +110,7 @@ def test_wcet_estimation_identical_with_and_without_skipping(
 
 
 @pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
-@pytest.mark.parametrize("arbitration", ["round_robin", "tdma"])
+@pytest.mark.parametrize("arbitration", ARBITERS)
 def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bool):
     """Real tasks on every core plus write buffers: exercises the buffered
     store drain, port-wait and store-stall states under fast-forwarding."""

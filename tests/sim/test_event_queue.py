@@ -189,6 +189,22 @@ def test_pushed_and_polled_components_compose():
     assert executed == len({c for c in range(600) if c % 100 == 0 or c % 60 == 0})
 
 
+def test_stepping_and_queue_skipping_act_on_identical_cycles():
+    """The REFERENCE kernel ticks every cycle; the queue-driven one skips to
+    the pushed and polled wakes.  Both act on exactly the same cycles and
+    end on the same clock."""
+    results = []
+    for fast_forward in (False, True):
+        kernel = Kernel(fast_forward=fast_forward)
+        pusher = kernel.register(PeriodicPusher("push", period=70))
+        polled = kernel.register(PolledWorker("poll", period=45))
+        kernel.run(max_cycles=1500)
+        results.append((pusher.action_cycles, polled.action_cycles, kernel.clock.cycle))
+        skipped = kernel.cycles_skipped
+    assert results[0] == results[1]
+    assert skipped > 0
+
+
 def test_wake_exactly_on_run_horizon_is_not_executed():
     """A wake landing exactly on ``start + max_cycles`` belongs to the first
     cycle that may never run: the run must end at the horizon without ticking
